@@ -110,7 +110,7 @@ def cmd_seq(args) -> int:
         print(json.dumps({"perm": str(result)}) if args.format == "json" else result)
     elif action == "encode":
         seq = noncross.encode(Permutation.parse(args.value))
-        print(seq.to_json_dict() if args.format == "json" else noncross.print_seq(seq))
+        print(json.dumps(seq.to_json_dict()) if args.format == "json" else noncross.print_seq(seq))
     elif action == "dual":
         seq = noncross.dual(noncross.parse_seq(args.value))
         print(

@@ -6,16 +6,23 @@ is (1, 1, 3); coefficients are exact rationals.  The weight of a monomial is
 the sum of its indices (p_k has weight k); every operator here preserves
 weight on homogeneous input.
 
-Applying a template to F enumerates index tuples (k_1..k_n) with k_i >= 1 and
-sum at most the largest monomial weight of F: the derivative factors of any
-term remove exactly sum(k_i) of weight, so heavier terms annihilate F and the
-truncation is exact.
+Applying a template to F is driven by the monomials of F.  A term of the
+summation with derivative block sums m_1..m_s acts on a monomial only if each
+p_(m_b) is one of its factors, so for each monomial the engine walks the
+ordered choices of such factors, one per derivative block b with
+m_b >= |B_b|, and weights each by its coefficient times prod_b m_b times the
+multiplicities removed.  The k-vectors with those block sums are not listed:
+each m_b is split into sums over the cells B_b & C_c (derivative block times
+cycle block), a cell of size z with sum x holding C(x-1, z-1) k-vectors, and
+the cell sums of each cycle block give the index of its p-factor.  No
+truncation is needed, since every choice is a factor of F.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, lcm
 from typing import Iterator, Mapping, Union
 
 from .errors import BoundExceededError, ParseError
@@ -26,11 +33,22 @@ __all__ = ["PPolynomial", "parse_p", "print_p", "apply_template", "apply_W"]
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
+# Equal monomials, monomial supports and coefficients share one object
+# through this table, so that many polynomials of one shape (say, parsed
+# inputs of one weight) hold one copy of each; it grows with the distinct
+# values built through PPolynomial.__init__.
+_SHARED: dict = {}
+
 
 class PPolynomial:
-    """Sparse polynomial in p_1, p_2, ... with exact rational coefficients."""
+    """Sparse polynomial in p_1, p_2, ... with exact rational coefficients.
 
-    __slots__ = ("_terms",)
+    The terms are held as two parallel tuples, the monomials and their
+    nonzero coefficients, rather than as a dict: a polynomial then costs
+    little more than its coefficient tuple.
+    """
+
+    __slots__ = ("_monos", "_coeffs")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -40,10 +58,27 @@ class PPolynomial:
                 key = tuple(sorted(mono))
                 if any(i < 1 for i in key):
                     raise ValueError(f"p-indices must be positive: {key}")
+                key = _SHARED.setdefault(key, key)
                 clean[key] = clean.get(key, Fraction(0)) + coeff
-        self._terms = {m: c for m, c in clean.items() if c}
+        monos = tuple(m for m, c in clean.items() if c)
+        self._monos = _SHARED.setdefault(monos, monos)
+        self._coeffs = tuple(_SHARED.setdefault(c, c) for c in clean.values() if c)
+
+    @property
+    def _terms(self) -> dict[Monomial, Fraction]:
+        """A new dict of the terms, free for the caller to change."""
+        return dict(zip(self._monos, self._coeffs))
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, terms: dict[Monomial, Fraction]) -> "PPolynomial":
+        """Wrap terms already in canonical form: sorted keys, nonzero
+        Fraction coefficients.  Skips the re-normalisation of __init__."""
+        poly = cls.__new__(cls)
+        poly._monos = tuple(terms)
+        poly._coeffs = tuple(terms.values())
+        return poly
 
     @classmethod
     def zero(cls) -> "PPolynomial":
@@ -71,10 +106,10 @@ class PPolynomial:
         return self._terms.get(tuple(sorted(mono)), Fraction(0))
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PPolynomial):
@@ -90,8 +125,8 @@ class PPolynomial:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "PPolynomial") -> "PPolynomial":
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
+        terms = self._terms
+        for mono, coeff in zip(other._monos, other._coeffs):
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
         return PPolynomial(terms)
 
@@ -127,7 +162,7 @@ class PPolynomial:
 
     def max_weight(self) -> int:
         """Largest monomial weight; 0 for the zero polynomial."""
-        return max((sum(m) for m in self._terms), default=0)
+        return max((sum(m) for m in self._monos), default=0)
 
     def homogeneous_components(self) -> dict[int, "PPolynomial"]:
         parts: dict[int, dict[Monomial, Fraction]] = {}
@@ -136,11 +171,11 @@ class PPolynomial:
         return {w: PPolynomial(t) for w, t in sorted(parts.items())}
 
     def is_homogeneous(self) -> bool:
-        return len({sum(m) for m in self._terms}) <= 1
+        return len({sum(m) for m in self._monos}) <= 1
 
     def weight(self) -> int | None:
         """The common weight of all terms, or None if mixed or zero."""
-        weights = {sum(m) for m in self._terms}
+        weights = {sum(m) for m in self._monos}
         return weights.pop() if len(weights) == 1 else None
 
     def diff(self, k: int) -> "PPolynomial":
@@ -285,39 +320,104 @@ class _Parser:
 # -- operator application -----------------------------------------------------
 
 
-def _index_tuples(n: int, total_bound: int) -> Iterator[tuple[int, ...]]:
-    """All (k_1..k_n) with k_i >= 1 and sum <= total_bound."""
-    for total in range(n, total_bound + 1):
-        for cuts in itertools.combinations(range(1, total), n - 1):
-            bounds = (0,) + cuts + (total,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+def _factor_choices(
+    mono: Monomial, sizes: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], int, Monomial]]:
+    """Ordered choices (m_1..m_s) of one factor p_(m_b) of ``mono`` per
+    derivative block b, with m_b at least the block size ``sizes[b]``.
+
+    Each choice comes with prod_b m_b * (multiplicity of m_b when it is
+    removed) and the factors left over, so that summed over all choices this
+    is prod_b m_b d/dp_(m_b) applied to the monomial.
+    """
+    if not sizes:
+        yield (), 1, mono
+        return
+    size, later = sizes[0], sizes[1:]
+    for i, m in enumerate(mono):
+        if m < size or (i and mono[i - 1] == m):
+            continue
+        factor = m * mono.count(m)
+        for ms, weight, rest in _factor_choices(mono[:i] + mono[i + 1 :], later):
+            yield (m,) + ms, factor * weight, rest
+
+
+def _splits(m: int, sizes: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Splits of m into parts x_j >= sizes[j], each with the number
+    prod_j C(x_j - 1, sizes[j] - 1) of ways to write x_j as an ordered sum of
+    sizes[j] positive k's."""
+    first, later = sizes[0], sizes[1:]
+    if not later:
+        yield (m,), comb(m - 1, first - 1)
+        return
+    for x in range(first, m - sum(later) + 1):
+        ways = comb(x - 1, first - 1)
+        for rest, more in _splits(m - x, later):
+            yield (x,) + rest, ways * more
+
+
+def _cycle_monomials(
+    cells: list[list[tuple[int, int]]], ms: tuple[int, ...], dP: int
+) -> list[tuple[Monomial, int]]:
+    """The p-monomials prod_c p_(sum of k_v, v in c) over all k-vectors whose
+    derivative block sums are ``ms``, each with its number of k-vectors.
+
+    ``cells[b]`` lists (cycle block position, size) for the nonempty
+    intersections of derivative block b with the cycle blocks; each m_b is
+    split into cell sums, and each cell sum adds to its cycle block's index.
+    """
+    partial = {(0,) * dP: 1}
+    for block, m in zip(cells, ms):
+        grown: dict[tuple[int, ...], int] = {}
+        for split, ways in _splits(m, [size for _, size in block]):
+            for indices, count in partial.items():
+                sums = list(indices)
+                for (c, _), x in zip(block, split):
+                    sums[c] += x
+                key = tuple(sums)
+                grown[key] = grown.get(key, 0) + count * ways
+        partial = grown
+    merged: dict[Monomial, int] = {}
+    for indices, count in partial.items():
+        key = tuple(sorted(indices))
+        merged[key] = merged.get(key, 0) + count
+    return list(merged.items())
 
 
 def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
     """Apply one summation (without the 1/n prefactor) exactly.
 
-    Enumerates index tuples up to the largest monomial weight of F; the
-    result is exact and weight-preserving on each homogeneous component.
+    F drives the sum: the derivative factors of a term must each take one
+    p-factor of a monomial of F, so only the ordered choices of such factors
+    (one per derivative block b, of index at least |B_b|) are walked.  Each
+    choice fixes the block sums m_b; the k-vectors with those sums are
+    counted per cell (derivative block x cycle block) with binomials rather
+    than listed, once per choice within the call.  Coefficients are summed
+    as integers over the common denominator of F's coefficients.
     """
-    out = PPolynomial.zero()
-    bound = F.max_weight()
-    if t.n > bound:
-        return out
-    for kvec in _index_tuples(t.n, bound):
-        derivative_indices = [sum(kvec[v - 1] for v in b) for b in t.derivative_blocks]
-        G = F
-        for m in derivative_indices:
-            G = G.diff(m)
-            if not G:
-                break
-        if not G:
-            continue
-        coeff = 1
-        for m in derivative_indices:
-            coeff *= m
-        poly_indices = tuple(sum(kvec[v - 1] for v in c) for c in t.cycle_blocks)
-        out = out + PPolynomial.monomial(poly_indices, coeff) * G
-    return out
+    sizes = tuple(len(b) for b in t.derivative_blocks)
+    where = {v: c for c, block in enumerate(t.cycle_blocks) for v in block}
+    cells = []
+    for block in t.derivative_blocks:
+        counts: dict[int, int] = {}
+        for v in block:
+            counts[where[v]] = counts.get(where[v], 0) + 1
+        cells.append(list(counts.items()))
+    denominator = lcm(*(c.denominator for c in F._coeffs))
+    expansions: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
+    out: dict[Monomial, int] = {}
+    for mono, coeff in zip(F._monos, F._coeffs):
+        scale = coeff.numerator * (denominator // coeff.denominator)
+        for ms, weight, rest in _factor_choices(mono, sizes):
+            expansion = expansions.get(ms)
+            if expansion is None:
+                expansion = expansions[ms] = _cycle_monomials(cells, ms, t.dP)
+            for indices, count in expansion:
+                key = tuple(sorted(indices + rest))
+                out[key] = out.get(key, 0) + scale * weight * count
+    return PPolynomial._canonical(
+        {m: Fraction(c, denominator) for m, c in out.items() if c}
+    )
 
 
 def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PPolynomial:
@@ -326,7 +426,13 @@ def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PP
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise BoundExceededError(f"apply_W bound is {max_n}, got n={n}")
-    total = PPolynomial.zero()
+    # every template's coefficients have denominators dividing this one
+    denominator = lcm(*(c.denominator for c in F._coeffs))
+    total: dict[Monomial, int] = {}
     for t in decompose_W(n, max_n=max_n):
-        total = total + apply_template(t, F)
-    return Fraction(1, n) * total
+        part = apply_template(t, F)
+        for mono, coeff in zip(part._monos, part._coeffs):
+            total[mono] = total.get(mono, 0) + coeff.numerator * (denominator // coeff.denominator)
+    return PPolynomial._canonical(
+        {m: Fraction(c, n * denominator) for m, c in total.items() if c}
+    )

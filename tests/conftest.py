@@ -1,4 +1,5 @@
-"""Shared helpers: published reference data and relabeling equivalence."""
+"""Shared helpers: published reference data, relabeling equivalence and the
+index tuples of a summation."""
 
 import itertools
 
@@ -39,3 +40,11 @@ W3_DISPLAY = {
     "(1)(2)(3)": ([[1], [2], [3]], [[1, 2, 3]]),
     "(1 2 3)": ([[1, 2, 3]], [[1, 2, 3]]),
 }
+
+
+def index_tuples(n, bound):
+    """All (k_1..k_n) with k_i >= 1 and sum at most bound."""
+    for total in range(n, bound + 1):
+        for cuts in itertools.combinations(range(1, total), n - 1):
+            bounds = (0,) + cuts + (total,)
+            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))

@@ -205,3 +205,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+JSON_COMMANDS = [
+    ["decompose", "3"],
+    ["apply", "2", "p1^3"],
+    ["apply", "3", "p1^3", "--perm", "(321)"],
+    ["seq", "decode", "(4)(321)"],
+    ["seq", "encode", "(1 3 2)(4)"],
+    ["seq", "dual", "(7(65)(4)(3)21)"],
+    ["seq", "classify", "(2)(1)"],
+    ["seq", "enumerate", "4", "2"],
+    ["count", "4"],
+    ["lift", "(4)(321)", "0"],
+    ["project", "(1 5 3 2)(4)"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_every_json_output_parses(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    json.loads(out)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import index_tuples
 from woplab.errors import BoundExceededError
 from woplab.oracle import (
     D_apply,
@@ -221,13 +222,6 @@ class TestQuiverFactorization:
                 assert lhs == p_to_x(PPolynomial.monomial(indices), N)
 
 
-def _index_tuples(n, bound):
-    for total in range(n, bound + 1):
-        for cuts in itertools.combinations(range(1, total), n - 1):
-            bounds = (0,) + cuts + (total,)
-            yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
-
-
 class TestPerSummandBridge:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_summand_pieces_rebuild_the_raw_operator(self, n):
@@ -247,7 +241,7 @@ class TestPerSummandBridge:
             for beta in all_permutations(n):
                 t = summation_of(beta)
                 piece = XPolynomial.zero(N)
-                for kvec in _index_tuples(n, d):
+                for kvec in index_tuples(n, d):
                     coeff = 1
                     G = F
                     for block in t.derivative_blocks:

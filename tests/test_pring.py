@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import index_tuples
 from woplab.errors import BoundExceededError, ParseError
 from woplab.perm import Permutation
 from woplab.pring import PPolynomial, apply_template, apply_W, parse_p, print_p
-from woplab.summation import summation_of
+from woplab.summation import decompose_W, summation_of
 
 
 def P(text):
@@ -154,15 +155,16 @@ def half_cut_and_join(F):
     return Fraction(1, 2) * out
 
 
-def all_monomials_of_weight(w):
-    def partitions(total, largest):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, largest), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
+def partitions(total, largest):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
 
+
+def all_monomials_of_weight(w):
     return [PPolynomial.monomial(tuple(sorted(p))) for p in partitions(w, w)]
 
 
@@ -171,3 +173,59 @@ class TestCutAndJoinAgreement:
     def test_w2_is_half_the_cut_and_join_operator(self, w):
         for F in all_monomials_of_weight(w):
             assert apply_W(2, F) == half_cut_and_join(F)
+
+
+def reference_apply_template(t, F):
+    """The enumerating engine: every index tuple up to the largest weight of
+    F, each differentiating all of F.  Heavier tuples remove more weight than
+    any term of F holds, so the truncation is exact."""
+    out = PPolynomial.zero()
+    for kvec in index_tuples(t.n, F.max_weight()):
+        derivative_indices = [sum(kvec[v - 1] for v in b) for b in t.derivative_blocks]
+        G = F
+        for m in derivative_indices:
+            G = G.diff(m)
+            if not G:
+                break
+        if not G:
+            continue
+        coeff = 1
+        for m in derivative_indices:
+            coeff *= m
+        poly_indices = tuple(sum(kvec[v - 1] for v in c) for c in t.cycle_blocks)
+        out = out + PPolynomial.monomial(poly_indices, coeff) * G
+    return out
+
+
+def reference_apply_W(n, F):
+    total = PPolynomial.zero()
+    for t in decompose_W(n):
+        total = total + reference_apply_template(t, F)
+    return Fraction(1, n) * total
+
+
+ALL_MONOMIALS_UP_TO_7 = [F for w in range(8) for F in all_monomials_of_weight(w)]
+
+mixed_polys = st.dictionaries(
+    keys=st.sampled_from([tuple(sorted(p)) for w in range(7) for p in partitions(w, w)]),
+    values=st.fractions(max_denominator=12),
+    max_size=6,
+).map(PPolynomial)
+
+
+class TestAgainstReferenceEngine:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_template_on_every_monomial_up_to_weight_7(self, n):
+        for t in decompose_W(n):
+            for F in ALL_MONOMIALS_UP_TO_7:
+                assert apply_template(t, F) == reference_apply_template(t, F), (t.perm, F)
+
+    @pytest.mark.parametrize("w", [6, 7])
+    def test_w6_on_every_monomial(self, w):
+        for F in all_monomials_of_weight(w):
+            assert apply_W(6, F) == reference_apply_W(6, F), F
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), mixed_polys)
+    def test_rational_polynomials_of_mixed_weight(self, n, F):
+        assert apply_W(n, F) == reference_apply_W(n, F)
