@@ -79,18 +79,19 @@ class Permutation:
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles in canonical order (see module docstring)."""
+        images = self.images
         seen: set[int] = set()
         out = []
-        for start in range(1, self.n + 1):
+        for start in range(1, len(images) + 1):
             if start in seen:
                 continue
             cycle = [start]
             seen.add(start)
-            v = self(start)
+            v = images[start - 1]
             while v != start:
                 cycle.append(v)
                 seen.add(v)
-                v = self(v)
+                v = images[v - 1]
             out.append(tuple(cycle))
         return tuple(out)
 
@@ -326,19 +327,12 @@ def lift(alpha: Permutation, j: int) -> Permutation:
         raise ValueError(f"lift index must be in 0..{n}, got {j}")
     m = n + 1
     a = alpha.images
-    new = [0] * m
-    if j == 0:
-        new[0] = m
-        new[m - 1] = a[0]
-        for v in range(2, n + 1):
-            new[v - 1] = a[v - 1]
-    else:
-        hat = {v: a[v - 1] for v in range(2, n + 1)}
-        hat[m] = a[0]
-        i = next(v for v, t in hat.items() if t == j)
-        new[0] = j
-        for v in range(2, m + 1):
-            new[v - 1] = m if v == i else hat[v]
+    # the hat quiver keeps v -> alpha(v) for v >= 2 and adds m -> alpha(1)
+    new = [j or m, *a[1:], a[0]]
+    if j:
+        # cut the hat arrow i -> j; i = m when the arrow leaves the top vertex
+        i = a.index(j)
+        new[i or n] = m
     return Permutation(tuple(new))
 
 

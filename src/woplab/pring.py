@@ -384,6 +384,19 @@ def _cycle_monomials(
     return list(merged.items())
 
 
+def _cells(t: SummationTemplate) -> list[list[tuple[int, int]]]:
+    """Per derivative block, (cycle block position, size) of each nonempty
+    intersection with a cycle block, the input of :func:`_cycle_monomials`."""
+    where = {v: c for c, block in enumerate(t.cycle_blocks) for v in block}
+    cells = []
+    for block in t.derivative_blocks:
+        counts: dict[int, int] = {}
+        for v in block:
+            counts[where[v]] = counts.get(where[v], 0) + 1
+        cells.append(list(counts.items()))
+    return cells
+
+
 def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
     """Apply one summation (without the 1/n prefactor) exactly.
 
@@ -392,17 +405,13 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
     (one per derivative block b, of index at least |B_b|) are walked.  Each
     choice fixes the block sums m_b; the k-vectors with those sums are
     counted per cell (derivative block x cycle block) with binomials rather
-    than listed, once per choice within the call.  Coefficients are summed
-    as integers over the common denominator of F's coefficients.
+    than listed, once per choice within the call.  The table of cells is
+    built only once a first choice exists, since for many pairs of template
+    and F there is none.  Coefficients are summed as integers over the
+    common denominator of F's coefficients.
     """
     sizes = tuple(len(b) for b in t.derivative_blocks)
-    where = {v: c for c, block in enumerate(t.cycle_blocks) for v in block}
-    cells = []
-    for block in t.derivative_blocks:
-        counts: dict[int, int] = {}
-        for v in block:
-            counts[where[v]] = counts.get(where[v], 0) + 1
-        cells.append(list(counts.items()))
+    cells = None
     denominator = lcm(*(c.denominator for c in F._coeffs))
     expansions: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
     out: dict[Monomial, int] = {}
@@ -411,6 +420,8 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
         for ms, weight, rest in _factor_choices(mono, sizes):
             expansion = expansions.get(ms)
             if expansion is None:
+                if cells is None:
+                    cells = _cells(t)
                 expansion = expansions[ms] = _cycle_monomials(cells, ms, t.dP)
             for indices, count in expansion:
                 key = tuple(sorted(indices + rest))

@@ -11,11 +11,18 @@ the normal form
 
 so a template is just the pair (cycle partition, derivative partition) of
 {1..n} together with the owning permutation.  The cycle partition is read off
-beta directly; the derivative partition is built by replaying beta's lift
-chain: a lift with index 0 contributes a fresh singleton derivative factor,
-and a lift with index j >= 1 substitutes k_j -> k_j + k_new, i.e. grows the
-block containing j.  The 1/n prefactor is *not* part of the template; the
-application layer supplies it.
+beta directly; the derivative partition follows beta's lift chain: a lift
+with index 0 contributes a fresh singleton derivative factor, and a lift with
+index j >= 1 substitutes k_j -> k_j + k_new, i.e. grows the block containing
+j.  The 1/n prefactor is *not* part of the template; the application layer
+supplies it.
+
+A single template (:func:`summation_of`) replays beta's lift chain.  All n!
+of them (:func:`decompose_W`) come from one walk down the lift tree instead:
+since lift_chain(lift(alpha, j)) == lift_chain(alpha) + (j,), the blocks of
+each child lift(alpha, j) are those of alpha with the single lift step above
+applied to the new vertex, so every permutation of rank m+1 is built from
+its parent of rank m by one lift.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import BoundExceededError
-from .perm import Permutation, all_permutations, lift_chain
+from .perm import Permutation, lift, lift_chain
 
 __all__ = [
     "SummationTemplate",
@@ -49,7 +56,9 @@ Blocks = tuple[tuple[int, ...], ...]
 
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    # disjoint blocks differ in their smallest element, so sorting the
+    # sorted blocks as tuples orders them by it
+    return tuple(sorted([tuple(sorted(b)) for b in blocks]))
 
 
 @dataclass(frozen=True)
@@ -151,12 +160,45 @@ def satisfies_star(perm: Permutation) -> bool:
 
 
 def decompose_W(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> list[SummationTemplate]:
-    """All n! templates of W([n]), ordered by image tuple of the permutation."""
+    """All n! templates of W([n]), ordered by image tuple of the permutation.
+
+    Built rank by rank down the lift tree: each (alpha, blocks) of rank m has
+    the m+1 children lift(alpha, j), whose derivative blocks extend alpha's
+    by the vertex m+1, as a new singleton for j = 0 and into the block
+    holding j otherwise.  This equals :func:`summation_of` on every child,
+    because lift_chain(lift(alpha, j)) == lift_chain(alpha) + (j,), without
+    projecting each permutation back to rank 1.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise BoundExceededError(f"decompose_W bound is {max_n}, got n={n}")
-    return [summation_of(beta) for beta in all_permutations(n)]
+    # blocks are tuples of vertices; owner[v-1] is the position of v's block.
+    # New vertices are larger than all earlier ones, so blocks stay sorted
+    # and in order of their smallest element, as _canonical_blocks makes them.
+    level: list[tuple[Permutation, Blocks, tuple[int, ...]]] = [
+        (Permutation((1,)), ((1,),), (0,))
+    ]
+    for m in range(1, n):
+        top = m + 1
+        grown = []
+        for alpha, blocks, owner in level:
+            grown.append((lift(alpha, 0), blocks + ((top,),), owner + (len(blocks),)))
+            for j in range(1, top):
+                b = owner[j - 1]
+                extended = blocks[:b] + (blocks[b] + (top,),) + blocks[b + 1 :]
+                grown.append((lift(alpha, j), extended, owner + (b,)))
+        level = grown
+    templates = [
+        SummationTemplate(
+            perm=beta,
+            cycle_blocks=_canonical_blocks(beta.cycles),
+            derivative_blocks=blocks,
+        )
+        for beta, blocks, _ in level
+    ]
+    templates.sort(key=lambda t: t.perm.images)
+    return templates
 
 
 def _sum_expr(block: tuple[int, ...], fmt: str) -> str:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -135,6 +137,17 @@ class TestDecompose:
     def test_templates_keyed_by_distinct_permutations(self):
         templates = decompose_W(4)
         assert len({t.perm for t in templates}) == 24
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_lift_tree_matches_replayed_lift_chains(self, n):
+        expected = [summation_of(beta) for beta in all_permutations(n)]
+        assert decompose_W(n) == expected
+
+    def test_lift_tree_matches_replayed_lift_chains_on_a_sample_at_8(self):
+        templates = decompose_W(8)
+        assert [t.perm.images for t in templates] == list(itertools.permutations(range(1, 9)))
+        for t in random.Random(8).sample(templates, 200):
+            assert t == summation_of(t.perm)
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
