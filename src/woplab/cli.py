@@ -194,12 +194,16 @@ def _check_counts(ns) -> list[tuple[str, bool]]:
     return results
 
 
+def _templates_by_perm(n: int) -> dict[Permutation, summation.SummationTemplate]:
+    return {t.perm: t for t in summation.decompose_W(n)}
+
+
 def _check_star(ns) -> list[tuple[str, bool]]:
     results = []
     for n in ns:
+        templates = _templates_by_perm(n)
         ok = all(
-            (summation.is_OS(summation.summation_of(b)) is not None)
-            == summation.satisfies_star(b)
+            (summation.is_OS(templates[b]) is not None) == summation.satisfies_star(b)
             for b in all_permutations(n)
         )
         results.append((f"star n={n}: maximal degree iff star condition, all {n}! permutations", ok))
@@ -256,11 +260,12 @@ def _check_lift(ns) -> list[tuple[str, bool]]:
         ok = len(set(lifted)) == len(lifted) and set(lifted) == set(
             all_permutations(n + 1)
         )
+        below, above = _templates_by_perm(n), _templates_by_perm(n + 1)
         for alpha in all_permutations(n):
-            ta = summation.summation_of(alpha)
+            ta = below[alpha]
             chain = set(to_hat_quiver(alpha).chain)
             for j in range(n + 1):
-                tb = summation.summation_of(lift(alpha, j))
+                tb = above[lift(alpha, j)]
                 if j == 0:
                     ok = ok and (tb.dP, tb.dD) == (ta.dP, ta.dD + 1)
                 elif j in chain:

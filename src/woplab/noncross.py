@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 GAP_ALPHABET = ("", "(", ")", ")(")
+# (right brackets, left brackets) held by each gap value
+_GAP_STEPS = {gap: (gap.count(")"), gap.count("(")) for gap in GAP_ALPHABET}
 DEFAULT_MAX_ENUMERATE = 12
 
 
@@ -82,59 +84,66 @@ class BracketSequence:
             raise ValueError("the gap before the first integer may hold only '('")
         if self.gaps[n] not in ("", ")"):
             raise ValueError("the gap after the last integer may hold only ')'")
-        for g in range(1, n):
-            if self.gaps[g] not in GAP_ALPHABET:
-                raise ValueError(f"bad gap value {self.gaps[g]!r} at gap {g}")
+        steps = [_GAP_STEPS.get(gap) for gap in self.gaps]
+        if None in steps:
+            g = steps.index(None)
+            raise ValueError(f"bad gap value {self.gaps[g]!r} at gap {g}")
         depth = 0
-        for g in range(n + 1):
-            for ch in self.gaps[g]:
-                depth += 1 if ch == "(" else -1
-                if depth < 0:
-                    raise ValueError("unbalanced brackets: ')' closes nothing")
-            if g < n and depth < 1:
+        for g, (closes, opens) in enumerate(steps):
+            if depth < closes:
+                raise ValueError("unbalanced brackets: ')' closes nothing")
+            depth += opens - closes
+            if depth < 1 and g < n:
                 raise ValueError(f"integer {n - g} is not inside any bracket pair")
         if depth != 0:
             raise ValueError("unbalanced brackets: unclosed '('")
 
     @property
     def r(self) -> int:
-        """Number of bracket pairs."""
-        return len(self.pairs)
+        """Number of bracket pairs, counted as left brackets (a gap holds at
+        most one, at its end) without matching them."""
+        return "".join(self.gaps).count("(")
 
     @cached_property
     def pairs(self) -> tuple[BracketPair, ...]:
-        """Matched pairs sorted by label (1 = rightmost right bracket)."""
-        stack: list[int] = []
-        raw: list[tuple[int, int]] = []
+        """Matched pairs sorted by label (1 = rightmost right bracket).
+
+        One stack pass over the gaps: a ')' closes the pair on top of the
+        stack, a '(' opens one, and the integer after each gap joins the
+        pair then on top, which is its innermost enclosing pair.  The c-th
+        pair closed from the left gets label r - c + 1.
+        """
+        n = self.n
+        open_pairs: list[tuple[int, list[int]]] = []
+        closed: list[tuple[int, int, list[int]]] = []
         for g, gap in enumerate(self.gaps):
-            for ch in gap:
-                if ch == "(":
-                    stack.append(g)
-                else:
-                    raw.append((stack.pop(), g))
-        by_label = sorted(raw, key=lambda lr: -lr[1])
-        members: dict[int, list[int]] = {i: [] for i in range(len(raw))}
-        for k in range(1, self.n + 1):
-            gap_above = self.n - k
-            containing = [
-                i
-                for i, (l, right) in enumerate(by_label)
-                if l <= gap_above < right
-            ]
-            members[max(containing)].append(k)
+            closes, opens = _GAP_STEPS[gap]
+            if closes:
+                left, members = open_pairs.pop()
+                closed.append((left, g, members))
+            if opens:
+                open_pairs.append((g, []))
+            if g < n:
+                open_pairs[-1][1].append(n - g)
         out = []
-        for i, (l, right) in enumerate(by_label):
-            assert members[i], "a pair with no directly enclosed integer"
-            out.append(BracketPair(i + 1, l, right, tuple(sorted(members[i]))))
+        for label, (left, right, members) in enumerate(reversed(closed), 1):
+            assert members, "a pair with no directly enclosed integer"
+            members.reverse()
+            out.append(BracketPair(label, left, right, tuple(members)))
         return tuple(out)
 
     @cached_property
     def top_level_labels(self) -> tuple[int, ...]:
-        return tuple(
-            p.label
-            for p in self.pairs
-            if not any(q.contains(p) for q in self.pairs)
-        )
+        """Labels of the pairs no other pair contains, in label order.  Pairs
+        in label order have descending right gaps, so a pair is top-level
+        exactly when it opens left of every pair before it."""
+        labels = []
+        leftmost = self.n + 1
+        for p in self.pairs:
+            if p.left_gap < leftmost:
+                labels.append(p.label)
+                leftmost = p.left_gap
+        return tuple(labels)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,8 +188,9 @@ def print_seq(seq: BracketSequence, labels: bool = False) -> str:
 
 def _gaps_from_tokens(n: int, tokens: list[tuple[str, int]]) -> BracketSequence:
     """Assemble gap strings from (token, position) pairs; the integer tokens
-    must be exactly n..1 in order."""
-    gaps: list[str] = [""] * (n + 1)
+    must be exactly n..1 in order.  The gap list grows with the integers
+    read, so a misreading with a huge n costs nothing before it fails."""
+    gaps = [""]
     expected = n
     for token, pos in tokens:
         if token.isdigit():
@@ -189,9 +199,9 @@ def _gaps_from_tokens(n: int, tokens: list[tuple[str, int]]) -> BracketSequence:
                     f"expected integer {expected}, found {token}", position=pos
                 )
             expected -= 1
+            gaps.append("")
         else:
-            g = n - expected
-            new = gaps[g] + token
+            new = gaps[-1] + token
             if new not in GAP_ALPHABET:
                 if new in ("((", ")((", "))", "))("):
                     raise ParseError(
@@ -204,7 +214,7 @@ def _gaps_from_tokens(n: int, tokens: list[tuple[str, int]]) -> BracketSequence:
                     "enclose an integer",
                     position=pos,
                 )
-            gaps[g] = new
+            gaps[-1] = new
     if expected != 0:
         raise ParseError(f"sequence stopped before integer {expected}")
     try:
@@ -375,36 +385,33 @@ _DUAL_TABLE = {
 }
 
 
-def _gap_bits(gap: str) -> tuple[int, int]:
-    return (1 if ")" in gap else 0, 1 if "(" in gap else 0)
+def _gap_text(right: int, left: int) -> str:
+    return ")" * right + "(" * left
+
+
+# _DUAL_TABLE on gap strings: (gap above k, gap below k) -> their rewrites
+_DUAL_GAPS = {
+    (_gap_text(ra, la), _gap_text(rb, lb)): (_gap_text(na, nla), _gap_text(nb, nlb))
+    for (ra, la, rb, lb), (na, nla, nb, nlb) in _DUAL_TABLE.items()
+}
 
 
 def dual(seq: BracketSequence) -> BracketSequence:
     """The dual sequence via the 16-row local table; swaps a sequence with r
     pairs into one with n-r+1 pairs, and is an involution.
 
+    Each integer rewrites the gaps above and below it by one lookup in the
+    table keyed by gap strings.  Every interior gap is rewritten twice, as
+    the lower gap of one integer and the upper gap of the next, and both
+    rewrites must agree.
+
     >>> print_seq(dual(parse_seq("(7(65)(4)(3)21)")))
     '(7(6)(543)2)(1)'
     """
-    n = seq.n
-    bits = [_gap_bits(g) for g in seq.gaps]
-    new_bits: list[list[int | None]] = [[None, None] for _ in range(n + 1)]
-
-    def write(gap: int, slot: int, value: int):
-        old = new_bits[gap][slot]
-        assert old is None or old == value, "inconsistent local rewrites"
-        new_bits[gap][slot] = value
-
-    for k in range(n, 0, -1):
-        above, below = n - k, n - k + 1
-        key = bits[above] + bits[below]
-        ra, la, rb, lb = _DUAL_TABLE[key]
-        write(above, 0, ra)
-        write(above, 1, la)
-        write(below, 0, rb)
-        write(below, 1, lb)
-    gaps = tuple(")" * b[0] + "(" * b[1] for b in new_bits)
-    return BracketSequence(n, gaps)
+    gaps = seq.gaps
+    uppers, lowers = zip(*map(_DUAL_GAPS.__getitem__, zip(gaps, gaps[1:])))
+    assert uppers[1:] == lowers[:-1], "inconsistent local rewrites"
+    return BracketSequence(seq.n, uppers[:1] + lowers)
 
 
 def dual_via_gap_toggle(seq: BracketSequence) -> BracketSequence:
@@ -433,37 +440,26 @@ def enumerate_sequences(
         raise BoundExceededError(f"enumeration bound is {max_n}, got n={n}")
     if r is not None and not 1 <= r <= n:
         return []
-    out: list[BracketSequence] = []
-    gaps: list[str] = [""] * (n + 1)
-
-    def extend(g: int, depth: int, opens: int):
-        if g == n:
-            # trailing gap must close the last pair around integer 1
-            closing = ")" if depth == 1 else ""
-            if depth - len(closing) == 0 and (r is None or opens == r):
-                gaps[g] = closing
-                out.append(BracketSequence(n, tuple(gaps)))
-            return
-        allowed = ("", "(") if g == 0 else GAP_ALPHABET
-        remaining_open_slots = n - g  # interior gaps left, each fits one '('
-        for value in allowed:
-            d = depth
-            ok = True
-            for ch in value:
-                d += 1 if ch == "(" else -1
-                if d < 0:
-                    ok = False
-                    break
-            if not ok or d < 1:  # the next integer must be covered
-                continue
-            o = opens + value.count("(")
-            if r is not None and (o > r or o + remaining_open_slots - 1 < r):
-                continue
-            gaps[g] = value
-            extend(g + 1, d, o)
-
-    extend(0, 0, 0)
-    return out
+    # Grow all gap prefixes one gap at a time.  Each prefix is extended in
+    # alphabet order, so every level stays in lexicographic order.  A prefix
+    # is kept only if it can be completed: the next integer is covered, the
+    # depth can still fall to 1 before the trailing gap closes the last pair
+    # (each later interior gap closes at most one), and with r given the
+    # left brackets can still total exactly r.
+    prefixes: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
+    for g in range(n):
+        room = n - g  # gaps g..n-1 can each hold one '('
+        values = ("", "(") if g == 0 else GAP_ALPHABET
+        steps = [(value, *_GAP_STEPS[value]) for value in values]
+        grown = []
+        for prefix, depth, opens in prefixes:
+            for value, closes, more in steps:
+                d = depth - closes + more
+                o = opens + more
+                if 1 <= d <= room and (r is None or o <= r < o + room):
+                    grown.append((prefix + (value,), d, o))
+        prefixes = grown
+    return [BracketSequence(n, prefix + (")",)) for prefix, _, _ in prefixes]
 
 
 def enumerate_single_top(

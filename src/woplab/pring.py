@@ -432,15 +432,23 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
 
 
 def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PPolynomial:
-    """Apply W([n]) = (1/n) * (sum of all n! summations) to F, exactly."""
+    """Apply W([n]) = (1/n) * (sum of all n! summations) to F, exactly.
+
+    A template whose derivative blocks outnumber the factors of every
+    monomial of F sends F to zero, so it is skipped.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise BoundExceededError(f"apply_W bound is {max_n}, got n={n}")
     # every template's coefficients have denominators dividing this one
     denominator = lcm(*(c.denominator for c in F._coeffs))
+    most_factors = max(map(len, F._monos), default=0)
+    templates = decompose_W(n, max_n=max_n)
+    if most_factors < n:  # no template has more than n derivative blocks
+        templates = [t for t in templates if t.dD <= most_factors]
     total: dict[Monomial, int] = {}
-    for t in decompose_W(n, max_n=max_n):
+    for t in templates:
         part = apply_template(t, F)
         for mono, coeff in zip(part._monos, part._coeffs):
             total[mono] = total.get(mono, 0) + coeff.numerator * (denominator // coeff.denominator)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -227,3 +228,49 @@ def test_every_json_output_parses(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     json.loads(out)
+
+
+CORPUS_SEQUENCES = ["(4(3)2)(1)", "(9(8)7)(6(54)3)(21)", "(11(10)(9 8)7)(6 5(4)3)(2 1)"]
+CORPUS_PERMUTATIONS = [
+    "(1)(2 4)(3)",
+    "(1 2)(3 6)(4 5)(7 9)(8)",
+    "(1 2)(3 6 5)(4)(7 11)(8 9)(10)",
+]
+RECORDED_CORPUS = [
+    ["seq", "enumerate", "10", "5"],
+    ["seq", "enumerate", "10", "5", "--json"],
+    *(
+        ["seq", action, text, *fmt]
+        for text in CORPUS_SEQUENCES
+        for action in ("decode", "dual", "classify")
+        for fmt in ([], ["--json"])
+    ),
+    *(
+        ["seq", "encode", text, *fmt]
+        for text in CORPUS_PERMUTATIONS
+        for fmt in ([], ["--json"])
+    ),
+    ["verify", "dual", "1..9"],
+    ["verify", "star", "1..7"],
+    ["verify", "lift", "1..6"],
+    ["count", "7"],
+    ["count", "7", "--json"],
+]
+# sha256 of the corpus transcript below, recorded before the linear-time
+# bracket-sequence layer and the decompose_W-based verify suites landed
+RECORDED_SHA256 = "284059f89eb11ed64e7670e9ca868b5f78e7c3df4b55d063afecc5ec9044429c"
+
+
+def corpus_transcript(capsys) -> bytes:
+    """Each command line with its exit code, followed by its stdout."""
+    parts = []
+    for argv in RECORDED_CORPUS:
+        code = main(list(argv))
+        parts.append(f"$ {' '.join(argv)} -> {code}\n{capsys.readouterr().out}")
+    return "".join(parts).encode()
+
+
+def test_recorded_corpus_is_byte_identical(capsys):
+    transcript = corpus_transcript(capsys)
+    assert b"[FAIL]" not in transcript
+    assert hashlib.sha256(transcript).hexdigest() == RECORDED_SHA256

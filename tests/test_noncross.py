@@ -1,8 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from woplab.counting import catalan, narayana
 from woplab.errors import BoundExceededError, ParseError
 from woplab.noncross import (
+    _DUAL_TABLE,
+    GAP_ALPHABET,
+    BracketPair,
     BracketSequence,
     classify_pairs,
     decode,
@@ -66,6 +72,20 @@ class TestParsePrint:
             assert parse_seq(print_seq(s)) == s
         # unspaced multi-digit text disambiguated by the forced descent
         assert parse_seq("(1211109 8 7 6 5 4 3 2 1)").n == 12
+
+    def test_compact_text_costs_nothing_for_misreadings(self):
+        # "(7654321)" is first tried as n = 7654321; that reading must fail
+        # without building a gap list of that length
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            s = parse_seq("(7654321)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.n == 7 and s.r == 1
+        assert peak < 1_000_000
 
     def test_labeled_printing(self):
         s = parse_seq("(4)(321)")
@@ -262,3 +282,165 @@ class TestValidationDirect:
             BracketSequence(2, (")", "", "("))  # slot discipline
         with pytest.raises(ValueError):
             BracketSequence(2, ("(", ")"))  # wrong gap count
+
+
+# -- reference engines ---------------------------------------------------------
+#
+# The quadratic pair matching, the closure-based dual and the per-character
+# enumerator that the linear-time versions in woplab.noncross replaced.
+
+
+def reference_pairs(seq):
+    stack = []
+    raw = []
+    for g, gap in enumerate(seq.gaps):
+        for ch in gap:
+            if ch == "(":
+                stack.append(g)
+            else:
+                raw.append((stack.pop(), g))
+    by_label = sorted(raw, key=lambda lr: -lr[1])
+    members = {i: [] for i in range(len(raw))}
+    for k in range(1, seq.n + 1):
+        gap_above = seq.n - k
+        containing = [
+            i for i, (l, right) in enumerate(by_label) if l <= gap_above < right
+        ]
+        members[max(containing)].append(k)
+    return tuple(
+        BracketPair(i + 1, l, right, tuple(sorted(members[i])))
+        for i, (l, right) in enumerate(by_label)
+    )
+
+
+def reference_top_level_labels(seq):
+    pairs = reference_pairs(seq)
+    return tuple(p.label for p in pairs if not any(q.contains(p) for q in pairs))
+
+
+def reference_dual(seq):
+    n = seq.n
+    bits = [(1 if ")" in g else 0, 1 if "(" in g else 0) for g in seq.gaps]
+    new_bits = [[None, None] for _ in range(n + 1)]
+
+    def write(gap, slot, value):
+        old = new_bits[gap][slot]
+        assert old is None or old == value, "inconsistent local rewrites"
+        new_bits[gap][slot] = value
+
+    for k in range(n, 0, -1):
+        above, below = n - k, n - k + 1
+        ra, la, rb, lb = _DUAL_TABLE[bits[above] + bits[below]]
+        write(above, 0, ra)
+        write(above, 1, la)
+        write(below, 0, rb)
+        write(below, 1, lb)
+    return BracketSequence(n, tuple(")" * b[0] + "(" * b[1] for b in new_bits))
+
+
+def reference_enumerate(n, r=None):
+    if r is not None and not 1 <= r <= n:
+        return []
+    out = []
+    gaps = [""] * (n + 1)
+
+    def extend(g, depth, opens):
+        if g == n:
+            closing = ")" if depth == 1 else ""
+            if depth - len(closing) == 0 and (r is None or opens == r):
+                gaps[g] = closing
+                out.append(BracketSequence(n, tuple(gaps)))
+            return
+        allowed = ("", "(") if g == 0 else GAP_ALPHABET
+        for value in allowed:
+            d = depth
+            ok = True
+            for ch in value:
+                d += 1 if ch == "(" else -1
+                if d < 0:
+                    ok = False
+                    break
+            if not ok or d < 1:
+                continue
+            o = opens + value.count("(")
+            if r is not None and (o > r or o + n - g - 1 < r):
+                continue
+            gaps[g] = value
+            extend(g + 1, d, o)
+
+    extend(0, 0, 0)
+    return out
+
+
+def random_sequence(n, choose):
+    """A valid sequence on n integers, each gap picked by ``choose`` among
+    the values that keep the prefix completable."""
+    gaps = []
+    depth = 0
+    for g in range(n):
+        options = [
+            (value, depth - value.count(")") + value.count("("))
+            for value in (("", "(") if g == 0 else GAP_ALPHABET)
+        ]
+        options = [(value, d) for value, d in options if 1 <= d <= n - g]
+        value, depth = options[choose(len(options))]
+        gaps.append(value)
+    return BracketSequence(n, tuple(gaps) + (")",))
+
+
+def assert_matches_reference(s):
+    assert s.pairs == reference_pairs(s)
+    assert s.r == len(reference_pairs(s))
+    assert s.top_level_labels == reference_top_level_labels(s)
+    assert dual(s) == reference_dual(s)
+    assert dual_via_gap_toggle(s) == reference_dual(s)
+
+
+class TestAgainstReferenceEngine:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_sequence_up_to_10(self, n):
+        seqs = enumerate_sequences(n)
+        assert seqs == reference_enumerate(n)
+        for r in range(0, n + 2):
+            assert enumerate_sequences(n, r) == reference_enumerate(n, r)
+        for s in seqs:
+            assert_matches_reference(s)
+
+    def test_seeded_sample_at_12(self):
+        rng = random.Random(12)
+        for _ in range(2000):
+            assert_matches_reference(random_sequence(12, rng.randrange))
+        for r in (1, 2, 11, 12):
+            assert enumerate_sequences(12, r) == reference_enumerate(12, r)
+
+
+@st.composite
+def sequences(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    return random_sequence(n, lambda k: draw(st.integers(0, k - 1)))
+
+
+class TestRoundTrips:
+    @given(sequences())
+    def test_print_parse(self, s):
+        assert parse_seq(print_seq(s)) == s
+
+    @given(sequences())
+    def test_labelled_printing_names_matching_pairs(self, s):
+        tokens = print_seq(s, labels=True).split()
+        assert parse_seq(" ".join(t.split("_")[0] for t in tokens)) == s
+        open_labels = []
+        for t in tokens:
+            if t.startswith("("):
+                open_labels.append(t[2:])
+            elif t.startswith(")"):
+                assert open_labels.pop() == t[2:]
+        assert sorted(int(t[2:]) for t in tokens if t[0] == ")") == list(
+            range(1, s.r + 1)
+        )
+
+    @given(sequences())
+    def test_dual_is_an_involution(self, s):
+        d = dual(s)
+        assert dual(d) == s
+        assert d.r == s.n - s.r + 1

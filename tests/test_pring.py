@@ -206,6 +206,14 @@ def reference_apply_W(n, F):
 
 ALL_MONOMIALS_UP_TO_7 = [F for w in range(8) for F in all_monomials_of_weight(w)]
 
+
+def unskipped_apply_W(n, F):
+    """apply_W with every template applied, none skipped."""
+    total = PPolynomial.zero()
+    for t in decompose_W(n):
+        total = total + apply_template(t, F)
+    return Fraction(1, n) * total
+
 mixed_polys = st.dictionaries(
     keys=st.sampled_from([tuple(sorted(p)) for w in range(7) for p in partitions(w, w)]),
     values=st.fractions(max_denominator=12),
@@ -229,3 +237,20 @@ class TestAgainstReferenceEngine:
     @given(st.integers(1, 4), mixed_polys)
     def test_rational_polynomials_of_mixed_weight(self, n, F):
         assert apply_W(n, F) == reference_apply_W(n, F)
+
+
+class TestTemplateSkip:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_skip_changes_no_result(self, n):
+        for F in ALL_MONOMIALS_UP_TO_7:
+            assert apply_W(n, F) == unskipped_apply_W(n, F), F
+
+    def test_templates_with_too_many_derivative_blocks_are_skipped(self, monkeypatch):
+        import woplab.pring as pring
+
+        applied = []
+        monkeypatch.setattr(
+            pring, "apply_template", lambda t, F: applied.append(t) or PPolynomial.zero()
+        )
+        pring.apply_W(7, P("p7"))
+        assert len(applied) == 720 and all(t.dD == 1 for t in applied)
