@@ -146,7 +146,8 @@ def cmd_seq(args) -> int:
             int(args.value), int(args.r_value), max_n=bound
         )
         if args.format == "json":
-            print(json.dumps([s.to_json_dict() for s in seqs]))
+            # one sequence's dicts at a time; same bytes as dumping the list
+            print("[" + ", ".join(json.dumps(s.to_json_dict()) for s in seqs) + "]")
         else:
             for s in seqs:
                 print(noncross.print_seq(s))

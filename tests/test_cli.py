@@ -1,8 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
+from woplab import summation
 from woplab.cli import main
 
 
@@ -121,6 +123,16 @@ class TestSeq:
     def test_invalid_sequence_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "decode", "(4)32(1)")
         assert code == 2
+
+    def test_enumerate_json_builds_one_dict_at_a_time(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["seq", "enumerate", "10", "5", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json.loads(capsys.readouterr().out)) == 5292
+        assert peak < 12 * 2**20
 
 
 class TestCount:
@@ -274,3 +286,36 @@ def test_recorded_corpus_is_byte_identical(capsys):
     transcript = corpus_transcript(capsys)
     assert b"[FAIL]" not in transcript
     assert hashlib.sha256(transcript).hexdigest() == RECORDED_SHA256
+
+
+TEMPLATE_CORPUS = [
+    *(["decompose", str(n), *fmt] for n in range(1, 8) for fmt in ([], ["--json"], ["--latex"])),
+    ["seq", "enumerate", "11", "5", "--json"],
+    *(["verify", "counts", str(n)] for n in range(1, 8)),
+    ["count", "6", "--json"],
+    ["apply", "7", "p7"],
+    ["apply", "6", "p1*p2*p3"],
+    ["apply", "2", "p1^3"],
+    ["apply", "3", "--perm", "(321)", "p1^3"],
+]
+# sha256 of the template corpus transcript, each command run twice in a row
+# so that the second run takes its templates from decompose_W's store,
+# recorded before decompose_W kept its templates
+TEMPLATE_SHA256 = "4e203f9785fecd0e393e7c04b1d8cbcbe7483add2232816a3933da1c79da9026"
+
+
+def template_transcript_sha256(capsys) -> str:
+    """sha256 of each command line with its exit code, followed by its
+    stdout, each command run twice in a row."""
+    digest = hashlib.sha256()
+    for argv in TEMPLATE_CORPUS:
+        for _ in range(2):
+            code = main(list(argv))
+            digest.update(f"$ {' '.join(argv)} -> {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    return digest.hexdigest()
+
+
+def test_template_corpus_is_byte_identical(capsys, monkeypatch):
+    monkeypatch.setattr(summation, "_KEPT", {})  # the first runs build afresh
+    assert template_transcript_sha256(capsys) == TEMPLATE_SHA256

@@ -18,6 +18,12 @@ def perm(text):
     return Permutation.parse(text)
 
 
+def permutations_up_to(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        Permutation.from_images
+    )
+
+
 class TestPermutation:
     def test_identity(self):
         p = Permutation.identity(3)
@@ -56,6 +62,20 @@ class TestPermutation:
         assert perm("(21)") == perm("(2 1)")
         assert hash(perm("(21)")) == hash(perm("(1 2)"))
         assert perm("(21)") != perm("(1)(2)")
+
+
+class TestRoundTrips:
+    @given(permutations_up_to(12))
+    def test_parse_inverts_str(self, p):
+        # n >= 10 prints multi-digit integers, which parse reads whole
+        assert Permutation.parse(str(p)) == p
+
+    @given(permutations_up_to(9), st.data())
+    def test_project_inverts_lift(self, alpha, data):
+        j = data.draw(st.integers(0, alpha.n))
+        beta = lift(alpha, j)
+        assert project(beta) == (alpha, j)
+        assert lift(*project(beta)) == beta
 
 
 class TestQuivers:

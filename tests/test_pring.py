@@ -27,6 +27,15 @@ small_polys = st.dictionaries(
 ).map(PPolynomial)
 
 
+rational_polys = st.dictionaries(
+    keys=st.lists(st.integers(1, 30), min_size=0, max_size=6).map(
+        lambda ixs: tuple(sorted(ixs))
+    ),
+    values=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    max_size=8,
+).map(PPolynomial)
+
+
 class TestParsePrint:
     def test_examples(self):
         assert P("p1^3").coefficient((1, 1, 1)) == 1
@@ -60,6 +69,11 @@ class TestParsePrint:
 
     @given(small_polys)
     def test_roundtrip(self, poly):
+        assert parse_p(print_p(poly)) == poly
+
+    @given(rational_polys)
+    def test_roundtrip_with_large_coefficients_and_indices(self, poly):
+        # multi-digit indices, exponents, numerators and denominators
         assert parse_p(print_p(poly)) == poly
 
 

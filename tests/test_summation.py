@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import W3_DISPLAY, canon, equivalent_up_to_relabeling
+from woplab import summation
 from woplab.errors import BoundExceededError
 from woplab.perm import Permutation, all_permutations, lift, to_hat_quiver
 from woplab.summation import (
@@ -139,9 +140,13 @@ class TestDecompose:
         assert len({t.perm for t in templates}) == 24
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_lift_tree_matches_replayed_lift_chains(self, n):
+    def test_lift_tree_matches_replayed_lift_chains(self, n, monkeypatch):
         expected = [summation_of(beta) for beta in all_permutations(n)]
-        assert decompose_W(n) == expected
+        monkeypatch.setattr(summation, "_KEPT", {})
+        cold = decompose_W(n)
+        warm = decompose_W(n)
+        assert cold == expected and warm == expected
+        assert all(a is b for a, b in zip(cold, warm))
 
     def test_lift_tree_matches_replayed_lift_chains_on_a_sample_at_8(self):
         templates = decompose_W(8)
@@ -156,6 +161,38 @@ class TestDecompose:
             decompose_W(4, max_n=3)
         with pytest.raises(ValueError):
             decompose_W(0)
+
+
+class TestKeptTemplates:
+    def test_each_call_returns_a_fresh_list(self):
+        first = decompose_W(5)
+        second = decompose_W(5)
+        assert first == second and first is not second
+        first.clear()
+        assert decompose_W(5) == second and len(second) == 120
+
+    def test_bounds_are_checked_before_kept_templates_are_used(self):
+        decompose_W(4)
+        with pytest.raises(BoundExceededError):
+            decompose_W(4, max_n=3)
+        with pytest.raises(ValueError):
+            decompose_W(0)
+
+    def test_n8_is_built_afresh(self):
+        first = decompose_W(8)
+        second = decompose_W(8)
+        assert not {id(t) for t in first} & {id(t) for t in second}
+
+    def test_equal_blocks_are_one_object(self, monkeypatch):
+        monkeypatch.setattr(summation, "_KEPT", {})
+        blocks = {
+            id(b)
+            for t in decompose_W(6)
+            for partition in (t.cycle_blocks, t.derivative_blocks)
+            for b in partition
+        }
+        # one per nonempty subset of {1..6}
+        assert len(blocks) <= 2**6 - 1
 
 
 class TestRender:
