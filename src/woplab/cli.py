@@ -48,12 +48,11 @@ def _bound(kind: str, override: int | None) -> int:
     return DEFAULT_BOUNDS[kind]
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(text)]
+def _parse_range(text: str) -> range:
+    """``lo..hi`` or ``n`` as a lazy range, so that its ends can be checked
+    against a bound before anything of its size is built."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
     if not values or values[0] < 1:
         raise ValueError(f"bad range {text!r}")
     return values
@@ -146,8 +145,11 @@ def cmd_seq(args) -> int:
             int(args.value), int(args.r_value), max_n=bound
         )
         if args.format == "json":
-            # one sequence's dicts at a time; same bytes as dumping the list
-            print("[" + ", ".join(json.dumps(s.to_json_dict()) for s in seqs) + "]")
+            # streamed one sequence at a time; same bytes as dumping the list
+            sys.stdout.write("[")
+            for i, s in enumerate(seqs):
+                sys.stdout.write((", " if i else "") + json.dumps(s.to_json_dict()))
+            sys.stdout.write("]\n")
         else:
             for s in seqs:
                 print(noncross.print_seq(s))
@@ -212,22 +214,11 @@ def _check_star(ns) -> list[tuple[str, bool]]:
 
 
 def _check_oracle(ns, max_weight: int) -> list[tuple[str, bool]]:
-    def monomials(w):
-        def partitions(total, largest):
-            if total == 0:
-                yield ()
-                return
-            for first in range(min(total, largest), 0, -1):
-                for rest in partitions(total - first, first):
-                    yield (first,) + rest
-
-        return [pring.PPolynomial.monomial(p) for p in partitions(w, w)]
-
     results = []
     for n in ns:
         ok = True
         for w in range(1, max_weight + 1):
-            for F in monomials(w):
+            for F in map(pring.PPolynomial.monomial, pring.partitions(w)):
                 N = w + n + 1
                 lhs = oracle.tr_Dn_apply(n, F, N)
                 if not oracle.equal_as_p(lhs, n * pring.apply_W(n, F), N):
@@ -282,9 +273,9 @@ def _check_lift(ns) -> list[tuple[str, bool]]:
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
     bound = _bound(f"verify-{args.suite}", args.max_n)
-    if max(ns) > bound:
+    if ns[-1] > bound:
         raise BoundExceededError(
-            f"verify {args.suite} bound is {bound}, requested up to {max(ns)}"
+            f"verify {args.suite} bound is {bound}, requested up to {ns[-1]}"
         )
     if args.suite == "counts":
         results = _check_counts(ns)

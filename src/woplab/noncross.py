@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
 from .perm import Permutation
@@ -53,8 +54,7 @@ _GAP_STEPS = {gap: (gap.count(")"), gap.count("(")) for gap in GAP_ALPHABET}
 DEFAULT_MAX_ENUMERATE = 12
 
 
-@dataclass(frozen=True)
-class BracketPair:
+class BracketPair(NamedTuple):
     """One matched pair: label, bracket gap positions, and the integers whose
     innermost enclosing pair this is (the cycle support under decoding)."""
 

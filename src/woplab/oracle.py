@@ -22,17 +22,23 @@ Mixed derivatives of a monomial are evaluated combinatorially: an ordered
 pick of variable occurrences, one per derivative factor, contributes the
 product of remaining multiplicities; each pick fixes the contraction column
 e_i, so the sums over e never need to be looped explicitly.
+
+Only the container is shared with the summation engine: XPolynomial is
+built on the ring core of :mod:`woplab.pring` (normalisation, sums,
+products, equality).  The entry calculus above, from the trace walks to the
+normal-ordered action and the cyclic sum, is this module's own code and
+calls nothing of the template engine, so the check stays independent.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import BoundExceededError
 from .perm import Permutation
-from .pring import PPolynomial
+from .pring import PPolynomial, SparsePolynomial
 
 __all__ = [
     "XPolynomial",
@@ -56,26 +62,27 @@ XMonomial = tuple[Var, ...]  # sorted, with repetition
 Scalar = Union[int, Fraction]
 
 
-class XPolynomial:
+class XPolynomial(SparsePolynomial):
     """Sparse polynomial in the entries of an N x N matrix of variables."""
 
-    __slots__ = ("N", "_terms")
+    __slots__ = ("N",)
 
     def __init__(self, N: int, terms: Mapping[XMonomial, Scalar] | None = None):
         if N < 1:
             raise ValueError("matrix size must be at least 1")
         self.N = N
-        clean: dict[XMonomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if not coeff:
-                continue
-            key = tuple(sorted(mono))
-            for a, b in key:
-                if not (1 <= a <= N and 1 <= b <= N):
-                    raise ValueError(f"entry index {(a, b)} outside 1..{N}")
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-        self._terms = {m: c for m, c in clean.items() if c}
+        super().__init__(terms)
+
+    @property
+    def _space(self) -> tuple[int]:
+        return (self.N,)
+
+    def _key(self, mono) -> XMonomial:
+        key = super()._key(mono)
+        for a, b in key:
+            if not (1 <= a <= self.N and 1 <= b <= self.N):
+                raise ValueError(f"entry index {(a, b)} outside 1..{self.N}")
+        return key
 
     @classmethod
     def zero(cls, N: int) -> "XPolynomial":
@@ -85,64 +92,17 @@ class XPolynomial:
     def constant(cls, N: int, c: Scalar) -> "XPolynomial":
         return cls(N, {(): c})
 
-    def items(self):
-        return iter(sorted(self._terms.items()))
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if isinstance(other, XPolynomial):
-            return self.N == other.N and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.N, frozenset(self._terms.items())))
-
     def __repr__(self):
         def var(v):
             return f"X{v[0]}{v[1]}" if self.N < 10 else f"X[{v[0]},{v[1]}]"
 
-        if not self._terms:
+        if not self:
             return "XPolynomial(0)"
         parts = [
             f"{coeff}*" + "*".join(var(v) for v in mono) if mono else str(coeff)
             for mono, coeff in self.items()
         ]
         return "XPolynomial(" + " + ".join(parts) + ")"
-
-    def __add__(self, other: "XPolynomial") -> "XPolynomial":
-        if self.N != other.N:
-            raise ValueError("mismatched matrix sizes")
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return XPolynomial(self.N, terms)
-
-    def __neg__(self) -> "XPolynomial":
-        return XPolynomial(self.N, {m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "XPolynomial") -> "XPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "XPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return XPolynomial(self.N, {m: c * other for m, c in self._terms.items()})
-        if isinstance(other, XPolynomial):
-            if self.N != other.N:
-                raise ValueError("mismatched matrix sizes")
-            terms: dict[XMonomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = tuple(sorted(m1 + m2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return XPolynomial(self.N, terms)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
 
 def x_variable(N: int, a: int, b: int) -> XPolynomial:
@@ -234,14 +194,7 @@ def _apply_pairs(
 
 def D_apply(a: int, b: int, G: XPolynomial) -> XPolynomial:
     """The entry derivation D_ab = sum_c X_ac d/dX_bc applied to G."""
-    N = G.N
-    if not (1 <= a <= N and 1 <= b <= N):
-        raise ValueError(f"indices ({a}, {b}) outside 1..{N}")
-    out: dict[XMonomial, Fraction] = {}
-    for mono, coeff in G._terms.items():
-        counts, by_row = _indexed(mono)
-        _apply_pairs([(a, b)], counts, by_row, coeff, out)
-    return XPolynomial(N, out)
+    return normal_ordered_apply([(a, b)], G)
 
 
 def normal_ordered_apply(
@@ -254,7 +207,7 @@ def normal_ordered_apply(
         if not (1 <= a <= N and 1 <= b <= N):
             raise ValueError(f"indices ({a}, {b}) outside 1..{N}")
     out: dict[XMonomial, Fraction] = {}
-    for mono, coeff in G._terms.items():
+    for mono, coeff in G.items():
         counts, by_row = _indexed(mono)
         _apply_pairs(list(pairs), counts, by_row, coeff, out)
     return XPolynomial(N, out)
@@ -289,9 +242,7 @@ def tr_Dn_apply(
             "for the trace powers to stay independent"
         )
     G = p_to_x(F, N)
-    indexed = [
-        (coeff, *_indexed(mono)) for mono, coeff in G._terms.items()
-    ]
+    indexed = [(coeff, *_indexed(mono)) for mono, coeff in G.items()]
     out: dict[XMonomial, Fraction] = {}
     for avec in itertools.product(range(1, N + 1), repeat=n):
         pairs = cyclic_pairs(avec)

@@ -28,7 +28,10 @@ from typing import Iterator, Mapping, Union
 from .errors import BoundExceededError, ParseError
 from .summation import DEFAULT_MAX_DECOMPOSE, SummationTemplate, decompose_W
 
-__all__ = ["PPolynomial", "parse_p", "print_p", "apply_template", "apply_W"]
+__all__ = [
+    "SparsePolynomial", "PPolynomial", "partitions",
+    "parse_p", "print_p", "apply_template", "apply_W",
+]
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -40,34 +43,129 @@ Scalar = Union[int, Fraction]
 _SHARED: dict = {}
 
 
-class PPolynomial:
-    """Sparse polynomial in p_1, p_2, ... with exact rational coefficients.
+class SparsePolynomial:
+    """Sparse polynomial with exact rational coefficients, the ring core of
+    :class:`PPolynomial` and of the oracle's entry polynomials.
 
-    The terms are held as two parallel tuples, the monomials and their
-    nonzero coefficients, rather than as a dict: a polynomial then costs
-    little more than its coefficient tuple.
+    The terms are two parallel tuples, the monomials (sorted tuples of
+    variables) and their nonzero coefficients, not a dict: a polynomial then
+    costs little more than its coefficient tuple.  Subclasses set how a
+    monomial is checked (``_key``), the order of ``items`` (``_item_order``)
+    and the leading constructor arguments that fix their ring (``_space``);
+    polynomials of different rings are unequal and cannot be combined.
     """
 
     __slots__ = ("_monos", "_coeffs")
 
-    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+    _item_order = None  # sort key of a (monomial, coefficient) item
+    _space: tuple = ()
+
+    def __init__(self, terms: Mapping[tuple, Scalar] | None = None):
+        clean: dict[tuple, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff:
-                key = tuple(sorted(mono))
-                if any(i < 1 for i in key):
-                    raise ValueError(f"p-indices must be positive: {key}")
-                key = _SHARED.setdefault(key, key)
+                key = self._key(mono)
                 clean[key] = clean.get(key, Fraction(0)) + coeff
-        monos = tuple(m for m, c in clean.items() if c)
-        self._monos = _SHARED.setdefault(monos, monos)
-        self._coeffs = tuple(_SHARED.setdefault(c, c) for c in clean.values() if c)
+        self._monos = tuple(m for m, c in clean.items() if c)
+        self._coeffs = tuple(c for c in clean.values() if c)
+
+    def _key(self, mono) -> tuple:
+        """The canonical form of a monomial; raises ValueError if invalid."""
+        return tuple(sorted(mono))
+
+    def _like(self, terms: Mapping[tuple, Scalar]):
+        """A polynomial of the same ring with these terms."""
+        return type(self)(*self._space, terms)
+
+    def _same_ring(self, other: "SparsePolynomial") -> None:
+        if other._space != self._space:  # only entry polynomials have one
+            raise ValueError("mismatched matrix sizes")
 
     @property
-    def _terms(self) -> dict[Monomial, Fraction]:
+    def _terms(self) -> dict[tuple, Fraction]:
         """A new dict of the terms, free for the caller to change."""
         return dict(zip(self._monos, self._coeffs))
+
+    # -- mapping views -----------------------------------------------------
+
+    def items(self) -> Iterator[tuple[tuple, Fraction]]:
+        """Terms in the ring's canonical order."""
+        return iter(sorted(zip(self._monos, self._coeffs), key=self._item_order))
+
+    def coefficient(self, mono) -> Fraction:
+        return self._terms.get(tuple(sorted(mono)), Fraction(0))
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SparsePolynomial):
+            return self._space == other._space and self._terms == other._terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._space, frozenset(zip(self._monos, self._coeffs))))
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other: "SparsePolynomial"):
+        self._same_ring(other)
+        terms = self._terms
+        for mono, coeff in zip(other._monos, other._coeffs):
+            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        return self._like(terms)
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self._terms.items()})
+
+    def __sub__(self, other: "SparsePolynomial"):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._like({m: c * other for m, c in self._terms.items()})
+        if isinstance(other, SparsePolynomial):
+            self._same_ring(other)
+            terms: dict[tuple, Fraction] = {}
+            for m1, c1 in zip(self._monos, self._coeffs):
+                for m2, c2 in zip(other._monos, other._coeffs):
+                    key = tuple(sorted(m1 + m2))
+                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+            return self._like(terms)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative power")
+        out = self._like({(): 1})
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+
+class PPolynomial(SparsePolynomial):
+    """Sparse polynomial in p_1, p_2, ... with exact rational coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        super().__init__(terms)
+        self._monos = _SHARED.setdefault(self._monos, self._monos)
+        self._coeffs = tuple(_SHARED.setdefault(c, c) for c in self._coeffs)
+
+    def _key(self, mono) -> Monomial:
+        key = super()._key(mono)
+        if any(i < 1 for i in key):
+            raise ValueError(f"p-indices must be positive: {key}")
+        return _SHARED.setdefault(key, key)
+
+    _item_order = staticmethod(lambda item: (sum(item[0]), item[0]))  # graded-lex
 
     # -- constructors ------------------------------------------------------
 
@@ -96,67 +194,8 @@ class PPolynomial:
     def monomial(cls, indices: Monomial, coeff: Scalar = 1) -> "PPolynomial":
         return cls({tuple(indices): coeff})
 
-    # -- mapping views -----------------------------------------------------
-
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """Terms in canonical graded-lex order (weight, then index tuple)."""
-        return iter(sorted(self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(sorted(mono)), Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self) -> str:
         return f"PPolynomial({print_p(self)!r})"
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: "PPolynomial") -> "PPolynomial":
-        terms = self._terms
-        for mono, coeff in zip(other._monos, other._coeffs):
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return PPolynomial(terms)
-
-    def __neg__(self) -> "PPolynomial":
-        return PPolynomial({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: "PPolynomial") -> "PPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return PPolynomial({m: c * other for m, c in self._terms.items()})
-        if isinstance(other, PPolynomial):
-            terms: dict[Monomial, Fraction] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    key = tuple(sorted(m1 + m2))
-                    terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-            return PPolynomial(terms)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PPolynomial":
-        if exponent < 0:
-            raise ValueError("negative power")
-        out = PPolynomial.constant(1)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- grading and calculus ----------------------------------------------
 
@@ -189,6 +228,20 @@ class PPolynomial:
                 key = tuple(reduced)
                 terms[key] = terms.get(key, Fraction(0)) + coeff * mult
         return PPolynomial(terms)
+
+
+def partitions(w: int) -> Iterator[Monomial]:
+    """The partitions of w as non-increasing tuples of parts, in reverse
+    lexicographic order; their p-products are the monomials of weight w."""
+
+    def below(total: int, largest: int) -> Iterator[Monomial]:
+        if total == 0:
+            yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in below(total - first, first):
+                yield (first,) + rest
+
+    return below(w, w)
 
 
 # -- text format -------------------------------------------------------------

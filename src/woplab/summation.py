@@ -237,39 +237,38 @@ def _build_templates(n: int) -> list[SummationTemplate]:
     return templates
 
 
-def _sum_expr(block: tuple[int, ...], fmt: str) -> str:
-    if fmt == "latex":
-        return "+".join(f"k_{v}" for v in block)
-    return "+".join(f"k{v}" for v in block)
+# per format: index letter, separator of p-factors and of derivatives, one
+# derivative, and the frame that puts the parts together
+_RENDER_TOKENS = {
+    "plain": ("k", " ", "d/dp_{{{}}}", "sum_{{{indices}}} {coeffs} {polys} {derivs}"),
+    "latex": (
+        "k_",
+        "",
+        "\\partial p_{{{}}}",
+        "\\sum_{{{indices}\\geq 1}} {coeffs} {polys}\\frac{{\\partial{order}}}{{{derivs}}}",
+    ),
+}
 
 
 def render(t: SummationTemplate, fmt: str = "plain") -> str:
     """Render a template as ``plain`` text, ``latex``, or a ``json`` object."""
-    if fmt == "plain":
-        indices = ",".join(f"k{v}" for v in range(1, t.n + 1))
-        coeffs = " ".join(
-            f"k{b[0]}" if len(b) == 1 else f"({_sum_expr(b, fmt)})"
-            for b in t.derivative_blocks
-        )
-        polys = " ".join(f"p_{{{_sum_expr(c, fmt)}}}" for c in t.cycle_blocks)
-        derivs = " ".join(f"d/dp_{{{_sum_expr(b, fmt)}}}" for b in t.derivative_blocks)
-        return f"sum_{{{indices}}} {coeffs} {polys} {derivs}"
-    if fmt == "latex":
-        indices = ",".join(f"k_{v}" for v in range(1, t.n + 1))
-        coeffs = " ".join(
-            f"k_{b[0]}" if len(b) == 1 else f"({_sum_expr(b, fmt)})"
-            for b in t.derivative_blocks
-        )
-        polys = "".join(f"p_{{{_sum_expr(c, fmt)}}}" for c in t.cycle_blocks)
-        order = "" if t.dD == 1 else f"^{{{t.dD}}}"
-        dens = "".join(f"\\partial p_{{{_sum_expr(b, fmt)}}}" for b in t.derivative_blocks)
-        return (
-            f"\\sum_{{{indices}\\geq 1}} {coeffs} {polys}"
-            f"\\frac{{\\partial{order}}}{{{dens}}}"
-        )
     if fmt == "json":
         return json.dumps(to_json_dict(t))
-    raise ValueError(f"unknown format {fmt!r} (expected plain, latex, or json)")
+    if fmt not in _RENDER_TOKENS:
+        raise ValueError(f"unknown format {fmt!r} (expected plain, latex, or json)")
+    k, sep, derivative, frame = _RENDER_TOKENS[fmt]
+
+    def total(block: tuple[int, ...]) -> str:
+        return "+".join(f"{k}{v}" for v in block)
+
+    blocks = t.derivative_blocks
+    return frame.format(
+        indices=",".join(f"{k}{v}" for v in range(1, t.n + 1)),
+        coeffs=" ".join(total(b) if len(b) == 1 else f"({total(b)})" for b in blocks),
+        polys=sep.join(f"p_{{{total(c)}}}" for c in t.cycle_blocks),
+        derivs=sep.join(derivative.format(total(b)) for b in blocks),
+        order="" if t.dD == 1 else f"^{{{t.dD}}}",
+    )
 
 
 def to_json_dict(t: SummationTemplate) -> dict:

@@ -27,7 +27,7 @@ from woplab.oracle import (
     x_power_entry,
 )
 from woplab.perm import Permutation, all_permutations, lift, project, to_hat_quiver
-from woplab.pring import PPolynomial, apply_W, parse_p
+from woplab.pring import PPolynomial, apply_W, parse_p, partitions
 from woplab.summation import decompose_W, is_OS, satisfies_star, summation_of
 
 
@@ -53,15 +53,7 @@ class Budget:
 
 
 def monomials_of_weight(w):
-    def partitions(total, largest):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, largest), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
-
-    return [PPolynomial.monomial(p) for p in partitions(w, w)]
+    return [PPolynomial.monomial(p) for p in partitions(w)]
 
 
 def test_acceptance_1_w3_reproduction():

@@ -196,6 +196,9 @@ class TestVerify:
     def test_bound_respected(self, capsys):
         code, _, err = run(capsys, "verify", "star", "1..9")
         assert code == 2 and "bound" in err
+        # checked before the range is built, so a huge one is refused at once
+        code, _, err = run(capsys, "verify", "star", "1..1000000000000")
+        assert code == 2 and "bound is 7, requested up to 1000000000000" in err
 
 
 class TestDeterminism:

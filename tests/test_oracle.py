@@ -19,7 +19,7 @@ from woplab.oracle import (
     x_variable,
 )
 from woplab.perm import Permutation, all_permutations
-from woplab.pring import PPolynomial, apply_W, parse_p
+from woplab.pring import PPolynomial, apply_W, parse_p, partitions
 from woplab.summation import summation_of
 
 
@@ -28,15 +28,7 @@ def P(text):
 
 
 def monomials_of_weight(w):
-    def partitions(total, largest):
-        if total == 0:
-            yield ()
-            return
-        for first in range(min(total, largest), 0, -1):
-            for rest in partitions(total - first, first):
-                yield (first,) + rest
-
-    return [PPolynomial.monomial(p) for p in partitions(w, w)]
+    return [PPolynomial.monomial(p) for p in partitions(w)]
 
 
 class TestPToX:

@@ -5,8 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import index_tuples
 from woplab.errors import BoundExceededError, ParseError
+from woplab.oracle import XPolynomial
 from woplab.perm import Permutation
-from woplab.pring import PPolynomial, apply_template, apply_W, parse_p, print_p
+from woplab.pring import (
+    PPolynomial,
+    apply_template,
+    apply_W,
+    parse_p,
+    partitions,
+    print_p,
+)
 from woplab.summation import decompose_W, summation_of
 
 
@@ -99,6 +107,102 @@ class TestArithmetic:
         assert comps[3] == P("p3+p1*p2")
 
 
+class TestPartitions:
+    def test_counts_and_shape_up_to_12(self):
+        # p(w) for w = 0..12; tests build their inputs from these
+        counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+        for w, count in enumerate(counts):
+            parts = list(partitions(w))
+            assert len(parts) == len(set(parts)) == count
+            for p in parts:
+                assert sum(p) == w and min(p, default=1) >= 1
+                assert list(p) == sorted(p, reverse=True)
+
+
+def _model(terms):
+    out = {}
+    for m, c in terms.items():
+        out[tuple(sorted(m))] = out.get(tuple(sorted(m)), 0) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return _model(out)
+
+
+def _model_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(sorted(m1 + m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _model(out)
+
+
+@st.composite
+def ring_operands(draw):
+    """A ring (PPolynomial, or XPolynomial of some N) and two term dicts of
+    it with unsorted monomials, the second negating some terms of the first
+    so that sums cancel."""
+    N = draw(st.one_of(st.none(), st.integers(1, 3)))
+    if N is None:
+        ring, var = PPolynomial, st.integers(1, 4)
+    else:
+        ring, var = (lambda terms: XPolynomial(N, terms)), st.tuples(*[st.integers(1, N)] * 2)
+    monos = st.lists(var, max_size=3).map(tuple)
+    terms = st.dictionaries(monos, st.fractions(max_denominator=4), max_size=4)
+    a, b = draw(terms), draw(terms)
+    for m in draw(st.lists(st.sampled_from(sorted(a)), unique=True)) if a else []:
+        b[m[::-1]] = -a[m]
+    return ring, a, b
+
+
+class TestRingCoreAgainstDictModel:
+    """PPolynomial and XPolynomial share one ring core; both are checked
+    here against plain dicts of Fraction coefficients."""
+
+    @settings(deadline=None)
+    @given(ring_operands(), st.fractions(max_denominator=3), st.integers(0, 3))
+    def test_operations(self, operands, scalar, exponent):
+        ring, a, b = operands
+        A, B, ma, mb = ring(a), ring(b), _model(a), _model(b)
+        assert dict(A.items()) == ma and len(A) == len(ma) and bool(A) == bool(ma)
+        assert all(A.coefficient(m) == ma.get(tuple(sorted(m)), 0) for m in a)
+        assert dict((A + B).items()) == _model_add(ma, mb)
+        assert dict((-A).items()) == {m: -c for m, c in ma.items()}
+        assert dict((A - B).items()) == _model_add(ma, {m: -c for m, c in mb.items()})
+        assert dict((A * B).items()) == _model_mul(ma, mb)
+        scaled = {m: c * scalar for m, c in ma.items()}
+        assert dict((A * scalar).items()) == dict((scalar * A).items()) == _model(scaled)
+        power = {(): Fraction(1)}
+        for _ in range(exponent):
+            power = _model_mul(power, ma)
+        assert dict((A**exponent).items()) == power
+        assert (A == B) == (ma == mb)
+        assert A - A == ring({}) and not A - A
+        # terms that cancel once their monomials are sorted
+        unsorted = {m[::-1]: -c for m, c in ma.items() if m != m[::-1]}
+        assert ring({**ma, **unsorted}) == ring({m: c for m, c in ma.items() if m == m[::-1]})
+        total = ring(_model_add(ma, mb))
+        assert A + B == B + A == total
+        assert len({A + B, B + A, total}) == 1
+
+    @given(st.integers(1, 3), st.integers(1, 3))
+    def test_matrix_sizes_must_match(self, N, M):
+        X, Y = XPolynomial.constant(N, 1), XPolynomial.constant(M, 1)
+        assert X != PPolynomial.constant(1)
+        if N == M:
+            assert X == Y and hash(X) == hash(Y)
+            return
+        assert X != Y
+        for combine in (X.__add__, X.__sub__, X.__mul__):
+            with pytest.raises(ValueError, match="mismatched matrix sizes"):
+                combine(Y)
+
+
 class TestApplyTemplate:
     def test_examples(self):
         assert apply_template(template("(1)"), P("p3")) == P("3*p3")
@@ -169,17 +273,8 @@ def half_cut_and_join(F):
     return Fraction(1, 2) * out
 
 
-def partitions(total, largest):
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
-
-
 def all_monomials_of_weight(w):
-    return [PPolynomial.monomial(tuple(sorted(p))) for p in partitions(w, w)]
+    return [PPolynomial.monomial(p) for p in partitions(w)]
 
 
 class TestCutAndJoinAgreement:
@@ -229,7 +324,7 @@ def unskipped_apply_W(n, F):
     return Fraction(1, n) * total
 
 mixed_polys = st.dictionaries(
-    keys=st.sampled_from([tuple(sorted(p)) for w in range(7) for p in partitions(w, w)]),
+    keys=st.sampled_from([tuple(sorted(p)) for w in range(7) for p in partitions(w)]),
     values=st.fractions(max_denominator=12),
     max_size=6,
 ).map(PPolynomial)
