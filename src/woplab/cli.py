@@ -145,10 +145,12 @@ def cmd_seq(args) -> int:
             int(args.value), int(args.r_value), max_n=bound
         )
         if args.format == "json":
-            # streamed one sequence at a time; same bytes as dumping the list
+            # streamed one sequence at a time, each released once written
+            # (with its cached pairs); same bytes as dumping the list
             sys.stdout.write("[")
             for i, s in enumerate(seqs):
                 sys.stdout.write((", " if i else "") + json.dumps(s.to_json_dict()))
+                seqs[i] = None
             sys.stdout.write("]\n")
         else:
             for s in seqs:

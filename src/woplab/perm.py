@@ -27,6 +27,7 @@ __all__ = [
     "HatQuiver",
     "LiftChain",
     "all_permutations",
+    "cycles_of",
     "to_quiver",
     "to_hat_quiver",
     "project",
@@ -79,21 +80,7 @@ class Permutation:
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles in canonical order (see module docstring)."""
-        images = self.images
-        seen: set[int] = set()
-        out = []
-        for start in range(1, len(images) + 1):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            v = images[start - 1]
-            while v != start:
-                cycle.append(v)
-                seen.add(v)
-                v = images[v - 1]
-            out.append(tuple(cycle))
-        return tuple(out)
+        return cycles_of(self.images)
 
     @cached_property
     def cycle_supports(self) -> tuple[frozenset[int], ...]:
@@ -150,6 +137,30 @@ class Permutation:
 
     def __str__(self) -> str:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles)
+
+
+def cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The disjoint cycles of the permutation with these images, in
+    canonical order, computed afresh: unlike :attr:`Permutation.cycles`,
+    nothing is cached on a permutation.
+
+    >>> cycles_of((3, 1, 2, 4))
+    ((1, 3, 2), (4,))
+    """
+    seen: set[int] = set()
+    out = []
+    for start in range(1, len(images) + 1):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        v = images[start - 1]
+        while v != start:
+            cycle.append(v)
+            seen.add(v)
+            v = images[v - 1]
+        out.append(tuple(cycle))
+    return tuple(out)
 
 
 def _tokenize_cycles(text: str) -> list[list[str]]:

@@ -484,11 +484,33 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
     )
 
 
+def _admitted(descending: list[Monomial], sizes: tuple[int, ...]) -> bool:
+    """Whether some monomial of ``descending``, its factor indices listed in
+    descending order, dominates the derivative block ``sizes`` (also
+    descending) entry by entry, which is when :func:`_factor_choices` yields
+    a choice for it."""
+    return any(
+        len(mono) >= len(sizes) and all(m >= s for m, s in zip(mono, sizes))
+        for mono in descending
+    )
+
+
 def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PPolynomial:
     """Apply W([n]) = (1/n) * (sum of all n! summations) to F, exactly.
 
-    A template whose derivative blocks outnumber the factors of every
-    monomial of F sends F to zero, so it is skipped.
+    A template acts on a monomial only through :func:`_factor_choices`: each
+    derivative block b takes its own factor p_m of the monomial with
+    m >= |B_b|.  Such distinct factors exist exactly when the monomial's
+    indices, sorted descending, dominate the block sizes, sorted descending,
+    entry by entry: the i largest blocks need i factors of index at least
+    the i-th largest size, and giving the i-th largest factor to the i-th
+    largest block always works.  A template that no monomial of F dominates
+    sends F to zero, so it is skipped; on a single monomial every admitted
+    template gives a nonzero result, so the skip is exact.  The check runs
+    once per distinct tuple of block sizes within the call, and its verdict
+    is looked up once per distinct derivative-block tuple (W([7])'s 5,040
+    templates share 877).  ``apply_W(6, p1^6)`` applies 1 template,
+    ``apply_W(6, p1*p2*p3)`` 120 and ``apply_W(7, p7)`` 720.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -496,12 +518,24 @@ def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PP
         raise BoundExceededError(f"apply_W bound is {max_n}, got n={n}")
     # every template's coefficients have denominators dividing this one
     denominator = lcm(*(c.denominator for c in F._coeffs))
-    most_factors = max(map(len, F._monos), default=0)
-    templates = decompose_W(n, max_n=max_n)
-    if most_factors < n:  # no template has more than n derivative blocks
-        templates = [t for t in templates if t.dD <= most_factors]
+    descending = [mono[::-1] for mono in F._monos]
+    # verdicts by block sizes, and by the identity of a derivative-block
+    # tuple (equal tuples are one object within a build, and every key
+    # stays alive during the call)
+    by_sizes: dict[tuple[int, ...], bool] = {}
+    by_blocks: dict[int, bool] = {}
     total: dict[Monomial, int] = {}
-    for t in templates:
+    for t in decompose_W(n, max_n=max_n):
+        blocks = t.derivative_blocks
+        admitted = by_blocks.get(id(blocks))
+        if admitted is None:
+            sizes = tuple(sorted(map(len, blocks), reverse=True))
+            admitted = by_sizes.get(sizes)
+            if admitted is None:
+                admitted = by_sizes[sizes] = _admitted(descending, sizes)
+            by_blocks[id(blocks)] = admitted
+        if not admitted:
+            continue
         part = apply_template(t, F)
         for mono, coeff in zip(part._monos, part._coeffs):
             total[mono] = total.get(mono, 0) + coeff.numerator * (denominator // coeff.denominator)

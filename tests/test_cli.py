@@ -134,6 +134,16 @@ class TestSeq:
         assert code == 0 and len(json.loads(capsys.readouterr().out)) == 5292
         assert peak < 12 * 2**20
 
+    def test_enumerate_json_releases_each_sequence_once_written(self, capsys):
+        tracemalloc.start()
+        try:
+            code = main(["seq", "enumerate", "11", "5", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json.loads(capsys.readouterr().out)) == 13860
+        assert peak < 9 * 2**20
+
 
 class TestCount:
     def test_json_schema(self, capsys):

@@ -444,3 +444,12 @@ class TestRoundTrips:
         d = dual(s)
         assert dual(d) == s
         assert d.r == s.n - s.r + 1
+
+    @given(sequences())
+    def test_encode_decode(self, s):
+        assert encode(decode(s)) == s
+
+    @given(sequences())
+    def test_decode_encode(self, s):
+        beta = decode(s)
+        assert decode(encode(beta)) == beta

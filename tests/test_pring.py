@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import index_tuples
 from woplab.errors import BoundExceededError, ParseError
@@ -348,11 +348,39 @@ class TestAgainstReferenceEngine:
         assert apply_W(n, F) == reference_apply_W(n, F)
 
 
+def applied_templates(monkeypatch, n, F):
+    """The templates apply_W(n, F) hands to apply_template, in order."""
+    import woplab.pring as pring
+
+    applied = []
+    monkeypatch.setattr(
+        pring, "apply_template", lambda t, F: applied.append(t) or PPolynomial.zero()
+    )
+    pring.apply_W(n, F)
+    monkeypatch.undo()
+    return applied
+
+
 class TestTemplateSkip:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_skip_changes_no_result(self, n):
         for F in ALL_MONOMIALS_UP_TO_7:
             assert apply_W(n, F) == unskipped_apply_W(n, F), F
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_admitted_templates_are_exactly_the_nonzero_ones(self, n, monkeypatch):
+        templates = decompose_W(n)
+        for F in ALL_MONOMIALS_UP_TO_7:
+            nonzero = [t for t in templates if apply_template(t, F)]
+            assert applied_templates(monkeypatch, n, F) == nonzero, F
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5), mixed_polys)
+    @example(1, PPolynomial.zero())
+    @example(3, PPolynomial.constant(Fraction(-5, 3)))
+    @example(5, P("7/2 - 1/3*p1*p2 + p2^2*p1 + 2/5*p5 - p4*p1^2"))
+    def test_rational_polynomials_against_the_unskipped_sum(self, n, F):
+        assert apply_W(n, F) == unskipped_apply_W(n, F)
 
     def test_templates_with_too_many_derivative_blocks_are_skipped(self, monkeypatch):
         import woplab.pring as pring
@@ -363,3 +391,7 @@ class TestTemplateSkip:
         )
         pring.apply_W(7, P("p7"))
         assert len(applied) == 720 and all(t.dD == 1 for t in applied)
+
+    @pytest.mark.parametrize("n, text, count", [(6, "p1^6", 1), (6, "p1*p2*p3", 120)])
+    def test_applied_template_counts(self, n, text, count, monkeypatch):
+        assert len(applied_templates(monkeypatch, n, P(text))) == count

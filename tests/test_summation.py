@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -193,6 +195,19 @@ class TestKeptTemplates:
         }
         # one per nonempty subset of {1..6}
         assert len(blocks) <= 2**6 - 1
+
+    def test_kept_templates_cache_no_cycles_and_stay_small(self, monkeypatch):
+        monkeypatch.setattr(summation, "_KEPT", {})
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kept = decompose_W(6) + decompose_W(7)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert not any("cycles" in t.perm.__dict__ for t in kept)
+        assert held <= 2.4e6
 
 
 class TestRender:
