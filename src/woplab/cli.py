@@ -10,6 +10,7 @@ environment variable WOPLAB_MAX_N overrides the per-subcommand size bounds.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -109,14 +110,10 @@ def cmd_seq(args) -> int:
         print(json.dumps({"perm": str(result)}) if args.format == "json" else result)
     elif action == "encode":
         seq = noncross.encode(Permutation.parse(args.value))
-        print(json.dumps(seq.to_json_dict()) if args.format == "json" else noncross.print_seq(seq))
+        print(seq.to_json() if args.format == "json" else noncross.print_seq(seq))
     elif action == "dual":
         seq = noncross.dual(noncross.parse_seq(args.value))
-        print(
-            json.dumps(seq.to_json_dict())
-            if args.format == "json"
-            else noncross.print_seq(seq)
-        )
+        print(seq.to_json() if args.format == "json" else noncross.print_seq(seq))
     elif action == "classify":
         seq = noncross.parse_seq(args.value)
         c = noncross.classify_pairs(seq)
@@ -149,7 +146,7 @@ def cmd_seq(args) -> int:
             # (with its cached pairs); same bytes as dumping the list
             sys.stdout.write("[")
             for i, s in enumerate(seqs):
-                sys.stdout.write((", " if i else "") + json.dumps(s.to_json_dict()))
+                sys.stdout.write((", " if i else "") + s.to_json())
                 seqs[i] = None
             sys.stdout.write("]\n")
         else:
@@ -366,9 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process: parsing reads
+    it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, BoundExceededError, ValueError) as err:

@@ -22,8 +22,10 @@ module also implements as an independent cross-check.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
@@ -51,6 +53,9 @@ __all__ = [
 GAP_ALPHABET = ("", "(", ")", ")(")
 # (right brackets, left brackets) held by each gap value
 _GAP_STEPS = {gap: (gap.count(")"), gap.count("(")) for gap in GAP_ALPHABET}
+# the change in bracket depth across each gap value, and its JSON text
+_GAP_DEPTH = {gap: opens - closes for gap, (closes, opens) in _GAP_STEPS.items()}
+_GAP_JSON = {gap: json.dumps(gap) for gap in GAP_ALPHABET}
 DEFAULT_MAX_ENUMERATE = 12
 
 
@@ -76,6 +81,9 @@ class BracketSequence:
 
     def __post_init__(self):
         n = self.n
+        if _accepted_in_one_pass(n, self.gaps):
+            return
+        # the ordered checks, which name the first fault
         if n < 1:
             raise ValueError("n must be at least 1")
         if len(self.gaps) != n + 1:
@@ -145,6 +153,18 @@ class BracketSequence:
                 leftmost = p.left_gap
         return tuple(labels)
 
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_json_dict())``, written
+        straight from the gaps and pairs without building the dict."""
+        gaps = ", ".join([_GAP_JSON[gap] for gap in self.gaps])
+        pairs = ", ".join(
+            [
+                '{"label": %d, "members": [%s]}' % (p.label, ", ".join(map(str, p.members)))
+                for p in self.pairs
+            ]
+        )
+        return '{"n": %d, "gaps": [%s], "pairs": [%s]}' % (self.n, gaps, pairs)
+
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -156,6 +176,26 @@ class BracketSequence:
 
     def __str__(self) -> str:
         return print_seq(self)
+
+
+def _accepted_in_one_pass(n: int, gaps: tuple[str, ...]) -> bool:
+    """Whether the gaps form a valid sequence on n integers, by one pass:
+    the depth after each gap is the running sum of the gaps' depth changes,
+    it must stay at least 1 up to gap n-1 and end at 0 after gap n.
+
+    Depth changes are -1, 0 or 1, so a depth that stays positive never lets
+    a ')' close nothing; a first gap holding ')' leaves the depth below 1
+    and a last gap holding '(' leaves it above 0, so the boundary rules need
+    no test of their own.  False means only "not shown valid here": the
+    caller's ordered checks decide, and name the fault.
+    """
+    if n < 1 or len(gaps) != n + 1:
+        return False
+    try:
+        depths = list(accumulate(map(_GAP_DEPTH.__getitem__, gaps)))
+    except (KeyError, TypeError):  # an unknown or unhashable gap value
+        return False
+    return depths.pop() == 0 and min(depths) >= 1
 
 
 # -- text format --------------------------------------------------------------

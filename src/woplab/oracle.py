@@ -23,6 +23,13 @@ pick of variable occurrences, one per derivative factor, contributes the
 product of remaining multiplicities; each pick fixes the contraction column
 e_i, so the sums over e never need to be looped explicitly.
 
+The sum over (a_1..a_n) is walked per monomial and restricted to its rows.
+The derivatives of the cyclic product take one factor from each of the rows
+a_n, a_{n-1}, ..., a_1, so a vector acts on a monomial only if every a_i is
+a row of the monomial and no row is used more times than it holds factors.
+``tr_Dn_apply`` walks exactly those vectors, each of which adds at least one
+term, instead of all N^n of them for every monomial.
+
 Only the container is shared with the summation engine: XPolynomial is
 built on the ring core of :mod:`woplab.pring` (normalisation, sums,
 products, equality).  The entry calculus above, from the trace walks to the
@@ -241,16 +248,26 @@ def tr_Dn_apply(
             f"N={N} too small: need N >= weight + n = {F.max_weight() + n} "
             "for the trace powers to stay independent"
         )
-    G = p_to_x(F, N)
-    indexed = [(coeff, *_indexed(mono)) for mono, coeff in G.items()]
     out: dict[XMonomial, Fraction] = {}
-    for avec in itertools.product(range(1, N + 1), repeat=n):
-        pairs = cyclic_pairs(avec)
-        first_row = pairs[0][1]
-        for coeff, counts, by_row in indexed:
-            if first_row in by_row:
-                _apply_pairs(pairs, counts, by_row, coeff, out)
+    for mono, coeff in p_to_x(F, N).items():
+        counts, by_row = _indexed(mono)
+        for avec in _row_vectors(mono, n):
+            _apply_pairs(cyclic_pairs(avec), counts, by_row, coeff, out)
     return XPolynomial(N, out)
+
+
+def _row_vectors(mono: XMonomial, n: int) -> list[tuple[int, ...]]:
+    """The index vectors (a_1..a_n) whose cyclic product can act on the
+    monomial: its derivatives take one factor from each of the rows a_1..a_n,
+    so every a_i is a row of the monomial, used at most as many times as the
+    row holds factors.  Every other vector of {1..N}^n gives zero."""
+    rows: dict[int, int] = {}
+    for a, _ in mono:
+        rows[a] = rows.get(a, 0) + 1
+    vectors: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        vectors = [v + (a,) for v in vectors for a, c in rows.items() if v.count(a) < c]
+    return vectors
 
 
 def equal_as_p(G: XPolynomial, F: PPolynomial, N: int) -> bool:

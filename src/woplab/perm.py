@@ -136,7 +136,10 @@ class Permutation:
                 raise ParseError(str(literal_err)) from None
 
     def __str__(self) -> str:
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles)
+        # from cycles_of, so that printing a kept permutation caches nothing
+        return "".join(
+            "(" + " ".join(str(v) for v in c) + ")" for c in cycles_of(self.images)
+        )
 
 
 def cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:

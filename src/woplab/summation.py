@@ -263,25 +263,34 @@ def render(t: SummationTemplate, fmt: str = "plain") -> str:
     if fmt not in _RENDER_TOKENS:
         raise ValueError(f"unknown format {fmt!r} (expected plain, latex, or json)")
     k, sep, derivative, frame = _RENDER_TOKENS[fmt]
-
-    def total(block: tuple[int, ...]) -> str:
-        return "+".join(f"{k}{v}" for v in block)
-
     blocks = t.derivative_blocks
+    sums = [_index_sum(k, b) for b in blocks]
     return frame.format(
         indices=",".join(f"{k}{v}" for v in range(1, t.n + 1)),
-        coeffs=" ".join(total(b) if len(b) == 1 else f"({total(b)})" for b in blocks),
-        polys=sep.join(f"p_{{{total(c)}}}" for c in t.cycle_blocks),
-        derivs=sep.join(derivative.format(total(b)) for b in blocks),
+        coeffs=" ".join(s if len(b) == 1 else f"({s})" for b, s in zip(blocks, sums)),
+        polys=sep.join(f"p_{{{_index_sum(k, c)}}}" for c in t.cycle_blocks),
+        derivs=sep.join(derivative.format(s) for s in sums),
         order="" if t.dD == 1 else f"^{{{t.dD}}}",
     )
+
+
+# index-sum text per (index letter, block), such as "k1+k3" for ("k", (1, 3)):
+# one entry per distinct block rendered, at most 2^n - 1 per letter up to rank n
+_INDEX_SUMS: dict[tuple[str, tuple[int, ...]], str] = {}
+
+
+def _index_sum(k: str, block: tuple[int, ...]) -> str:
+    text = _INDEX_SUMS.get((k, block))
+    if text is None:
+        text = _INDEX_SUMS[k, block] = "+".join(f"{k}{v}" for v in block)
+    return text
 
 
 def to_json_dict(t: SummationTemplate) -> dict:
     os_type = is_OS(t)
     return {
         "n": t.n,
-        "perm": [list(c) for c in t.perm.cycles],
+        "perm": [list(c) for c in cycles_of(t.perm.images)],
         "cycle_blocks": [list(b) for b in t.cycle_blocks],
         "derivative_blocks": [list(b) for b in t.derivative_blocks],
         "dP": t.dP,

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from woplab import summation
+from woplab import cli, summation
 from woplab.cli import main
 
 
@@ -219,6 +223,37 @@ class TestDeterminism:
         first = run(capsys, "seq", "enumerate", "4", "2")
         second = run(capsys, "seq", "enumerate", "4", "2")
         assert first == second
+
+
+class TestParserReuse:
+    # the second call differs from the first only in a defaulted option
+    SEQUENCE = [
+        ["verify", "oracle", "2", "--max-weight", "2"],
+        ["verify", "oracle", "2"],
+        ["seq", "enumerate", "5", "2", "--json"],
+        ["decompose", "3"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, capfd):
+        in_process = []
+        for argv in self.SEQUENCE:
+            code = main(list(argv))
+            captured = capfd.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        fresh = []
+        for argv in self.SEQUENCE:
+            done = subprocess.run(
+                [sys.executable, "-m", "woplab", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert "weights <= 2" in in_process[0][1] and "weights <= 4" in in_process[1][1]
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 
 import pytest
@@ -287,7 +289,35 @@ class TestValidationDirect:
 # -- reference engines ---------------------------------------------------------
 #
 # The quadratic pair matching, the closure-based dual and the per-character
-# enumerator that the linear-time versions in woplab.noncross replaced.
+# enumerator that the linear-time versions in woplab.noncross replaced, and
+# the ordered validation checks alone, without the one-pass accept test.
+
+
+_REFERENCE_STEPS = {gap: (gap.count(")"), gap.count("(")) for gap in GAP_ALPHABET}
+
+
+def reference_validate(n, gaps):
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if len(gaps) != n + 1:
+        raise ValueError(f"need {n + 1} gap values, got {len(gaps)}")
+    if gaps[0] not in ("", "("):
+        raise ValueError("the gap before the first integer may hold only '('")
+    if gaps[n] not in ("", ")"):
+        raise ValueError("the gap after the last integer may hold only ')'")
+    steps = [_REFERENCE_STEPS.get(gap) for gap in gaps]
+    if None in steps:
+        g = steps.index(None)
+        raise ValueError(f"bad gap value {gaps[g]!r} at gap {g}")
+    depth = 0
+    for g, (closes, opens) in enumerate(steps):
+        if depth < closes:
+            raise ValueError("unbalanced brackets: ')' closes nothing")
+        depth += opens - closes
+        if depth < 1 and g < n:
+            raise ValueError(f"integer {n - g} is not inside any bracket pair")
+    if depth != 0:
+        raise ValueError("unbalanced brackets: unclosed '('")
 
 
 def reference_pairs(seq):
@@ -414,6 +444,45 @@ class TestAgainstReferenceEngine:
             assert enumerate_sequences(12, r) == reference_enumerate(12, r)
 
 
+def validation_outcome(check, n, gaps):
+    """None if ``check(n, gaps)`` accepts, else the error's type and text."""
+    try:
+        check(n, gaps)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    return None
+
+
+def assert_validates_like_reference(n, gaps):
+    assert validation_outcome(BracketSequence, n, gaps) == validation_outcome(
+        reference_validate, n, gaps
+    ), (n, gaps)
+
+
+class TestValidationAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_gap_tuple(self, n):
+        accepted = 0
+        for gaps in itertools.product(GAP_ALPHABET, repeat=n + 1):
+            assert_validates_like_reference(n, gaps)
+            accepted += validation_outcome(reference_validate, n, gaps) is None
+        assert accepted == catalan(n)
+
+    def test_wrong_lengths_and_small_n(self):
+        for n in range(-2, 5):
+            for length in range(n + 4):
+                assert_validates_like_reference(n, ("",) * length)
+                framed = ("(",) + ("",) * (length - 2) + (")",)
+                assert_validates_like_reference(n, framed[:length])
+
+    def test_unknown_gap_values(self):
+        valid = ("(", ")(", "", ")")
+        for bad in ("((", "))", "()", "x", " ", ")()", None, 1, ["("]):
+            for g in range(len(valid)):
+                gaps = valid[:g] + (bad,) + valid[g + 1 :]
+                assert_validates_like_reference(3, gaps)
+
+
 @st.composite
 def sequences(draw, max_n=14):
     n = draw(st.integers(1, max_n))
@@ -444,6 +513,10 @@ class TestRoundTrips:
         d = dual(s)
         assert dual(d) == s
         assert d.r == s.n - s.r + 1
+
+    @given(sequences())
+    def test_json_text_is_the_dumped_dict(self, s):
+        assert s.to_json() == json.dumps(s.to_json_dict())
 
     @given(sequences())
     def test_encode_decode(self, s):

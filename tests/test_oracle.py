@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import index_tuples
+from woplab import oracle
 from woplab.errors import BoundExceededError
 from woplab.oracle import (
     D_apply,
@@ -250,3 +251,53 @@ class TestPerSummandBridge:
                 assert piece == p_to_x(apply_template(t, F), N), (beta, text)
                 total = total + piece
             assert total == tr_Dn_apply(n, F, N), text
+
+
+def reference_tr_Dn_apply(n, F, N):
+    """The full walk over {1..N}^n that the row-restricted walk replaced:
+    every index vector meets every monomial whose rows hold its first
+    derivative's row."""
+    G = p_to_x(F, N)
+    indexed = [(coeff, *oracle._indexed(mono)) for mono, coeff in G.items()]
+    out = {}
+    for avec in itertools.product(range(1, N + 1), repeat=n):
+        pairs = cyclic_pairs(avec)
+        first_row = pairs[0][1]
+        for coeff, counts, by_row in indexed:
+            if first_row in by_row:
+                oracle._apply_pairs(pairs, counts, by_row, coeff, out)
+    return XPolynomial(N, out)
+
+
+# (n, F) for every monomial of weight <= 3 at n <= 3, of weight 4 at n <= 2,
+# and one mixed rational polynomial
+WALK_INPUTS = [
+    *((n, F) for n in (1, 2, 3) for w in (0, 1, 2, 3) for F in monomials_of_weight(w)),
+    *((n, F) for n in (1, 2) for F in monomials_of_weight(4)),
+    (3, P("1/2*p1*p2-3*p3+2/3*p1^2-7/5*p2+4")),
+]
+
+
+class TestRowRestrictedWalk:
+    @pytest.mark.parametrize("n, F", WALK_INPUTS, ids=str)
+    def test_equals_the_full_walk(self, n, F):
+        N = F.max_weight() + n + 1
+        assert tr_Dn_apply(n, F, N) == reference_tr_Dn_apply(n, F, N)
+
+    def test_every_walked_vector_adds_a_term(self, monkeypatch):
+        sizes = [F.max_weight() + n + 1 for n, F in WALK_INPUTS]
+        expected = [reference_tr_Dn_apply(n, F, N) for (n, F), N in zip(WALK_INPUTS, sizes)]
+        apply_pairs = oracle._apply_pairs
+        added_per_call = []
+
+        def checked(pairs, counts, by_row, coeff, out):
+            added = {}
+            apply_pairs(pairs, counts, by_row, coeff, added)
+            added_per_call.append(len(added))
+            for key, value in added.items():
+                out[key] = out.get(key, 0) + value
+
+        monkeypatch.setattr(oracle, "_apply_pairs", checked)
+        walked = [tr_Dn_apply(n, F, N) for (n, F), N in zip(WALK_INPUTS, sizes)]
+        assert walked == expected
+        assert added_per_call and min(added_per_call) >= 1

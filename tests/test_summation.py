@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from conftest import W3_DISPLAY, canon, equivalent_up_to_relabeling
-from woplab import summation
+from woplab import cli, summation
 from woplab.errors import BoundExceededError
 from woplab.perm import Permutation, all_permutations, lift, to_hat_quiver
 from woplab.summation import (
@@ -208,6 +208,13 @@ class TestKeptTemplates:
             tracemalloc.stop()
         assert not any("cycles" in t.perm.__dict__ for t in kept)
         assert held <= 2.4e6
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"], ["--latex"]], ids=["plain", "json", "latex"])
+    def test_decompose_caches_no_cycles_on_kept_templates(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(summation, "_KEPT", {})
+        assert cli.main(["decompose", "7", *fmt]) == 0
+        assert len(capsys.readouterr().out) > 5040
+        assert not any("cycles" in t.perm.__dict__ for t in decompose_W(7))
 
 
 class TestRender:
