@@ -66,7 +66,11 @@ def cmd_decompose(args) -> int:
     bound = _bound("decompose", args.max_n)
     templates = summation.decompose_W(args.n, max_n=bound)
     if args.format == "json":
-        print(json.dumps([summation.to_json_dict(t) for t in templates]))
+        # streamed one template at a time; same bytes as dumping the list
+        sys.stdout.write("[")
+        for i, t in enumerate(templates):
+            sys.stdout.write((", " if i else "") + summation.to_json(t))
+        sys.stdout.write("]\n")
     elif args.format == "latex":
         for t in templates:
             print(f"FS_{{{t.perm}}}: {summation.render(t, 'latex')}")
@@ -229,12 +233,17 @@ def _check_oracle(ns, max_weight: int) -> list[tuple[str, bool]]:
 
 
 def _check_dual(ns) -> list[tuple[str, bool]]:
+    """One dual per enumerated sequence: the involution is checked through
+    the index of the enumeration, so a dual outside it fails the claim."""
     results = []
     for n in ns:
+        seqs = noncross.enumerate_sequences(n)
+        index = {s: i for i, s in enumerate(seqs)}
+        duals = [noncross.dual(s) for s in seqs]
         ok = True
-        for s in noncross.enumerate_sequences(n):
-            d = noncross.dual(s)
-            if d.r != n - s.r + 1 or noncross.dual(d) != s:
+        for s, d in zip(seqs, duals):
+            i = index.get(d)
+            if i is None or duals[i] != s or d.r != n - s.r + 1:
                 ok = False
             if d != noncross.dual_via_gap_toggle(s):
                 ok = False

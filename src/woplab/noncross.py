@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import BoundExceededError, ParseError
@@ -114,31 +113,14 @@ class BracketSequence:
 
     @cached_property
     def pairs(self) -> tuple[BracketPair, ...]:
-        """Matched pairs sorted by label (1 = rightmost right bracket).
-
-        One stack pass over the gaps: a ')' closes the pair on top of the
-        stack, a '(' opens one, and the integer after each gap joins the
-        pair then on top, which is its innermost enclosing pair.  The c-th
-        pair closed from the left gets label r - c + 1.
-        """
-        n = self.n
-        open_pairs: list[tuple[int, list[int]]] = []
-        closed: list[tuple[int, int, list[int]]] = []
-        for g, gap in enumerate(self.gaps):
-            closes, opens = _GAP_STEPS[gap]
-            if closes:
-                left, members = open_pairs.pop()
-                closed.append((left, g, members))
-            if opens:
-                open_pairs.append((g, []))
-            if g < n:
-                open_pairs[-1][1].append(n - g)
-        out = []
-        for label, (left, right, members) in enumerate(reversed(closed), 1):
-            assert members, "a pair with no directly enclosed integer"
-            members.reverse()
-            out.append(BracketPair(label, left, right, tuple(members)))
-        return tuple(out)
+        """Matched pairs sorted by label (1 = rightmost right bracket), as
+        :func:`_matched_pairs` finds them."""
+        return tuple(
+            BracketPair(label, left, right, tuple(members))
+            for label, (left, right, members) in enumerate(
+                _matched_pairs(self.n, self.gaps), 1
+            )
+        )
 
     @cached_property
     def top_level_labels(self) -> tuple[int, ...]:
@@ -154,13 +136,17 @@ class BracketSequence:
         return tuple(labels)
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict())``, written
-        straight from the gaps and pairs without building the dict."""
+        """The text of ``json.dumps(self.to_json_dict())``, written straight
+        from the gaps and the matching pass, without building the dict or
+        any :class:`BracketPair` (so nothing is cached on the sequence).  A
+        list of ints has the same repr as its JSON text."""
         gaps = ", ".join([_GAP_JSON[gap] for gap in self.gaps])
         pairs = ", ".join(
             [
-                '{"label": %d, "members": [%s]}' % (p.label, ", ".join(map(str, p.members)))
-                for p in self.pairs
+                '{"label": %d, "members": %r}' % (label, members)
+                for label, (_, _, members) in enumerate(
+                    _matched_pairs(self.n, self.gaps), 1
+                )
             ]
         )
         return '{"n": %d, "gaps": [%s], "pairs": [%s]}' % (self.n, gaps, pairs)
@@ -178,6 +164,32 @@ class BracketSequence:
         return print_seq(self)
 
 
+def _matched_pairs(n: int, gaps: tuple[str, ...]) -> list[tuple[int, int, list[int]]]:
+    """(left gap, right gap, members ascending) of each pair, in label order.
+
+    One stack pass over the gaps: a ')' closes the pair on top of the stack,
+    a '(' opens one, and the integer after each gap joins the pair then on
+    top, which is its innermost enclosing pair.  The c-th pair closed from
+    the left gets label r - c + 1.
+    """
+    open_pairs: list[tuple[int, list[int]]] = []
+    closed: list[tuple[int, int, list[int]]] = []
+    for g, gap in enumerate(gaps):
+        closes, opens = _GAP_STEPS[gap]
+        if closes:
+            left, members = open_pairs.pop()
+            closed.append((left, g, members))
+        if opens:
+            open_pairs.append((g, []))
+        if g < n:
+            open_pairs[-1][1].append(n - g)
+    closed.reverse()
+    for _, _, members in closed:
+        assert members, "a pair with no directly enclosed integer"
+        members.reverse()
+    return closed
+
+
 def _accepted_in_one_pass(n: int, gaps: tuple[str, ...]) -> bool:
     """Whether the gaps form a valid sequence on n integers, by one pass:
     the depth after each gap is the running sum of the gaps' depth changes,
@@ -191,11 +203,15 @@ def _accepted_in_one_pass(n: int, gaps: tuple[str, ...]) -> bool:
     """
     if n < 1 or len(gaps) != n + 1:
         return False
+    depth = 0
     try:
-        depths = list(accumulate(map(_GAP_DEPTH.__getitem__, gaps)))
+        for gap in gaps[:n]:
+            depth += _GAP_DEPTH[gap]
+            if depth < 1:
+                return False
+        return depth + _GAP_DEPTH[gaps[n]] == 0
     except (KeyError, TypeError):  # an unknown or unhashable gap value
         return False
-    return depths.pop() == 0 and min(depths) >= 1
 
 
 # -- text format --------------------------------------------------------------
@@ -454,14 +470,17 @@ def dual(seq: BracketSequence) -> BracketSequence:
     return BracketSequence(seq.n, uppers[:1] + lowers)
 
 
+# the gap toggle: interior "" and ")(" swap, lone brackets stay
+_TOGGLE = {"": ")(", ")(": "", "(": "(", ")": ")"}
+
+
 def dual_via_gap_toggle(seq: BracketSequence) -> BracketSequence:
     """Independent formulation of the dual: toggle each interior gap between
     "" and ")(" and leave lone brackets (and the boundary gaps) unchanged."""
-    toggle = {"": ")(", ")(": "", "(": "(", ")": ")"}
-    gaps = list(seq.gaps)
-    for g in range(1, seq.n):
-        gaps[g] = toggle[gaps[g]]
-    return BracketSequence(seq.n, tuple(gaps))
+    gaps = seq.gaps
+    return BracketSequence(
+        seq.n, (gaps[0], *map(_TOGGLE.__getitem__, gaps[1:-1]), gaps[-1])
+    )
 
 
 # -- enumeration -----------------------------------------------------------------

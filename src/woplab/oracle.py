@@ -170,11 +170,12 @@ def _apply_pairs(
     pairs: Sequence[tuple[int, int]],
     counts: dict[Var, int],
     by_row: dict[int, list[Var]],
-    coeff: Fraction,
-    out: dict[XMonomial, Fraction],
+    coeff: Scalar,
+    out: dict[XMonomial, Scalar],
 ):
     """Accumulate the normal-ordered action of the given (a_i, b_i) pairs on
-    one monomial (given by its live multiplicity index)."""
+    one monomial (given by its live multiplicity index), each term being
+    coeff times its multiplicity; with coeff 1 the sums stay integers."""
     m = len(pairs)
     cols = [0] * m
 
@@ -186,7 +187,7 @@ def _apply_pairs(
             for (source, _), col in zip(pairs, cols):
                 rebuilt.append((source, col))
             key = tuple(sorted(rebuilt))
-            out[key] = out.get(key, Fraction(0)) + coeff * mult
+            out[key] = out.get(key, 0) + coeff * mult
             return
         for var in by_row.get(pairs[i][1], ()):
             c = counts[var]
@@ -250,9 +251,13 @@ def tr_Dn_apply(
         )
     out: dict[XMonomial, Fraction] = {}
     for mono, coeff in p_to_x(F, N).items():
+        # integer multiplicities per key, then one product by the coefficient
         counts, by_row = _indexed(mono)
+        mults: dict[XMonomial, int] = {}
         for avec in _row_vectors(mono, n):
-            _apply_pairs(cyclic_pairs(avec), counts, by_row, coeff, out)
+            _apply_pairs(cyclic_pairs(avec), counts, by_row, 1, mults)
+        for key, mult in mults.items():
+            out[key] = out.get(key, 0) + coeff * mult
     return XPolynomial(N, out)
 
 

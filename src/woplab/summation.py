@@ -259,7 +259,7 @@ _RENDER_TOKENS = {
 def render(t: SummationTemplate, fmt: str = "plain") -> str:
     """Render a template as ``plain`` text, ``latex``, or a ``json`` object."""
     if fmt == "json":
-        return json.dumps(to_json_dict(t))
+        return to_json(t)
     if fmt not in _RENDER_TOKENS:
         raise ValueError(f"unknown format {fmt!r} (expected plain, latex, or json)")
     k, sep, derivative, frame = _RENDER_TOKENS[fmt]
@@ -299,3 +299,24 @@ def to_json_dict(t: SummationTemplate) -> dict:
         "os_type": list(os_type) if os_type else None,
         "latex": render(t, "latex"),
     }
+
+
+def to_json(t: SummationTemplate) -> str:
+    """The text of ``json.dumps(to_json_dict(t))``, written straight from the
+    template's fields without building the dict: a list of lists of ints
+    has the same repr as its JSON text."""
+    os_type = is_OS(t)
+    return (
+        '{"n": %d, "perm": %r, "cycle_blocks": %r, "derivative_blocks": %r, '
+        '"dP": %d, "dD": %d, "degree": %d, "os_type": %s, "latex": %s}'
+    ) % (
+        t.n,
+        list(map(list, cycles_of(t.perm.images))),
+        list(map(list, t.cycle_blocks)),
+        list(map(list, t.derivative_blocks)),
+        t.dP,
+        t.dD,
+        t.degree,
+        "[%d, %d]" % os_type if os_type else "null",
+        json.dumps(render(t, "latex")),
+    )

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from woplab import cli, summation
+from woplab import cli, noncross, summation
 from woplab.cli import main
 
 
@@ -65,6 +65,18 @@ class TestDecompose:
         monkeypatch.setenv("WOPLAB_MAX_N", "4")
         code, out, _ = run(capsys, "decompose", "4")
         assert code == 0 and len(out.strip().splitlines()) == 24
+
+
+    def test_json_streams_kept_templates(self, capsys):
+        summation.decompose_W(7)
+        tracemalloc.start()
+        try:
+            code = main(["decompose", "7", "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(json.loads(capsys.readouterr().out)) == 5040
+        assert peak < 6 * 2**20
 
 
 class TestApply:
@@ -201,6 +213,41 @@ class TestVerify:
             cli, "_check_star", lambda ns: [("star n=1: forced failure", False)]
         )
         code, out, _ = run(capsys, "verify", "star", "1")
+        assert code == 1 and "[FAIL]" in out
+
+    def test_dual_suite_passes_up_to_its_bound(self, capsys):
+        code, out, _ = run(capsys, "verify", "dual", "1..10")
+        assert code == 0 and out.count("[PASS]") == 10 and "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "mutant", ["not an involution", "no type swap", "toggle disagrees", "index misses"]
+    )
+    def test_dual_suite_catches_a_faulty_dual(self, capsys, monkeypatch, mutant):
+        table, toggle = noncross.dual, noncross.dual_via_gap_toggle
+        if mutant == "not an involution":
+            # two sequences of one type trade duals in both formulations,
+            # so only the involution check can see it
+            a, b = noncross.enumerate_sequences(5, 2)[:2]
+            swap = {a: b, b: a}
+            monkeypatch.setattr(noncross, "dual", lambda s: table(swap.get(s, s)))
+            monkeypatch.setattr(
+                noncross, "dual_via_gap_toggle", lambda s: toggle(swap.get(s, s))
+            )
+        elif mutant == "no type swap":
+            # an identity dual is an involution, and the toggle agrees
+            monkeypatch.setattr(noncross, "dual", lambda s: s)
+            monkeypatch.setattr(noncross, "dual_via_gap_toggle", lambda s: s)
+        elif mutant == "toggle disagrees":
+            other = noncross.enumerate_sequences(5)[3]
+            monkeypatch.setattr(
+                noncross, "dual_via_gap_toggle", lambda s: toggle(s if s != other else table(s))
+            )
+        else:
+            enumerate_sequences = noncross.enumerate_sequences
+            monkeypatch.setattr(
+                noncross, "enumerate_sequences", lambda n: enumerate_sequences(n)[:-1]
+            )
+        code, out, _ = run(capsys, "verify", "dual", "4..6")
         assert code == 1 and "[FAIL]" in out
 
     def test_bad_range_exit_2(self, capsys):

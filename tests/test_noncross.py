@@ -518,6 +518,15 @@ class TestRoundTrips:
     def test_json_text_is_the_dumped_dict(self, s):
         assert s.to_json() == json.dumps(s.to_json_dict())
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_json_text_is_the_dumped_dict_for_every_small_sequence(self, n):
+        for r in range(1, n + 1):
+            for s in enumerate_sequences(n, r):
+                text = s.to_json()
+                # the text is written without matched pairs cached on s
+                assert "pairs" not in s.__dict__
+                assert text == json.dumps(s.to_json_dict())
+
     @given(sequences())
     def test_encode_decode(self, s):
         assert encode(decode(s)) == s

@@ -251,6 +251,11 @@ class TestRender:
         }
         assert json.loads(render(summation_of(perm("(123)")), "json"))["os_type"] is None
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_json_text_is_the_dumped_dict(self, n):
+        for t in decompose_W(n):
+            assert summation.to_json(t) == json.dumps(to_json_dict(t))
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render(summation_of(perm("(1)")), "html")
