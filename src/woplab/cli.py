@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import counting, noncross, oracle, pring, summation
-from .errors import BoundExceededError, MismatchError, ParseError
-from .perm import Permutation, all_permutations, lift, project, to_hat_quiver
+from . import counting, noncross, pring, summation, verify
+from .errors import BoundExceededError, ParseError
+from .perm import Permutation, lift, project
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -29,15 +28,10 @@ DEFAULT_BOUNDS = {
     "decompose": 8,
     "apply": 8,
     "enumerate": noncross.DEFAULT_MAX_ENUMERATE,
-    "verify-counts": 8,
-    "verify-star": 7,
-    "verify-oracle": oracle.DEFAULT_MAX_TRACE_POWER,
-    "verify-dual": 10,
-    "verify-lift": 7,
 }
 
 
-def _bound(kind: str, override: int | None) -> int:
+def _bound(default: int, override: int | None) -> int:
     if override is not None:
         return override
     env = os.environ.get("WOPLAB_MAX_N")
@@ -46,7 +40,7 @@ def _bound(kind: str, override: int | None) -> int:
             return int(env)
         except ValueError:
             raise BoundExceededError(f"WOPLAB_MAX_N must be an integer, got {env!r}")
-    return DEFAULT_BOUNDS[kind]
+    return default
 
 
 def _parse_range(text: str) -> range:
@@ -63,7 +57,7 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_decompose(args) -> int:
-    bound = _bound("decompose", args.max_n)
+    bound = _bound(DEFAULT_BOUNDS["decompose"], args.max_n)
     templates = summation.decompose_W(args.n, max_n=bound)
     if args.format == "json":
         # streamed one template at a time; same bytes as dumping the list
@@ -86,7 +80,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    bound = _bound("apply", args.max_n)
+    bound = _bound(DEFAULT_BOUNDS["apply"], args.max_n)
     F = pring.parse_p(args.polynomial)
     if args.perm is not None:
         beta = Permutation.parse(args.perm)
@@ -141,7 +135,7 @@ def cmd_seq(args) -> int:
     elif action == "enumerate":
         if args.r_value is None:
             raise ParseError("seq enumerate needs N and R")
-        bound = _bound("enumerate", args.max_n)
+        bound = _bound(DEFAULT_BOUNDS["enumerate"], args.max_n)
         seqs = noncross.enumerate_sequences(
             int(args.value), int(args.r_value), max_n=bound
         )
@@ -162,10 +156,10 @@ def cmd_seq(args) -> int:
 
 
 def cmd_count(args) -> int:
-    bound = _bound("verify-counts", args.max_n)
+    bound = _bound(verify.SUITES["counts"].bound, args.max_n)
     if args.n > bound:
         raise BoundExceededError(f"count bound is {bound}, got n={args.n}")
-    report = counting.verify_counts(args.n)
+    report = counting.verify_counts(args.n, max_n=bound)
     print(report.as_json() if args.format == "json" else report.as_text())
     return EXIT_OK
 
@@ -186,117 +180,18 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites ---------------------------------------------------------
-
-
-def _check_counts(ns) -> list[tuple[str, bool]]:
-    results = []
-    for n in ns:
-        try:
-            counting.verify_counts(n)
-            results.append((f"counts n={n}: enumeration == OS census == formula == recurrence", True))
-        except MismatchError as err:
-            results.append((f"counts n={n}: {err}", False))
-    return results
-
-
-def _templates_by_perm(n: int) -> dict[Permutation, summation.SummationTemplate]:
-    return {t.perm: t for t in summation.decompose_W(n)}
-
-
-def _check_star(ns) -> list[tuple[str, bool]]:
-    results = []
-    for n in ns:
-        templates = _templates_by_perm(n)
-        ok = all(
-            (summation.is_OS(templates[b]) is not None) == summation.satisfies_star(b)
-            for b in all_permutations(n)
-        )
-        results.append((f"star n={n}: maximal degree iff star condition, all {n}! permutations", ok))
-    return results
-
-
-def _check_oracle(ns, max_weight: int) -> list[tuple[str, bool]]:
-    results = []
-    for n in ns:
-        ok = True
-        for w in range(1, max_weight + 1):
-            for F in map(pring.PPolynomial.monomial, pring.partitions(w)):
-                N = w + n + 1
-                lhs = oracle.tr_Dn_apply(n, F, N)
-                if not oracle.equal_as_p(lhs, n * pring.apply_W(n, F), N):
-                    ok = False
-        results.append(
-            (f"oracle n={n}: trace calculus == summation engine, weights <= {max_weight}", ok)
-        )
-    return results
-
-
-def _check_dual(ns) -> list[tuple[str, bool]]:
-    """One dual per enumerated sequence: the involution is checked through
-    the index of the enumeration, so a dual outside it fails the claim."""
-    results = []
-    for n in ns:
-        seqs = noncross.enumerate_sequences(n)
-        index = {s: i for i, s in enumerate(seqs)}
-        duals = [noncross.dual(s) for s in seqs]
-        ok = True
-        for s, d in zip(seqs, duals):
-            i = index.get(d)
-            if i is None or duals[i] != s or d.r != n - s.r + 1:
-                ok = False
-            if d != noncross.dual_via_gap_toggle(s):
-                ok = False
-        results.append((f"dual n={n}: involution, type swap, table == gap toggle", ok))
-    return results
-
-
-def _check_lift(ns) -> list[tuple[str, bool]]:
-    results = []
-    for n in ns:
-        lifted = [
-            lift(alpha, j) for alpha in all_permutations(n) for j in range(n + 1)
-        ]
-        ok = len(set(lifted)) == len(lifted) and set(lifted) == set(
-            all_permutations(n + 1)
-        )
-        below, above = _templates_by_perm(n), _templates_by_perm(n + 1)
-        for alpha in all_permutations(n):
-            ta = below[alpha]
-            chain = set(to_hat_quiver(alpha).chain)
-            for j in range(n + 1):
-                tb = above[lift(alpha, j)]
-                if j == 0:
-                    ok = ok and (tb.dP, tb.dD) == (ta.dP, ta.dD + 1)
-                elif j in chain:
-                    ok = ok and (tb.dP, tb.dD) == (ta.dP + 1, ta.dD)
-                else:
-                    ok = ok and (tb.dP, tb.dD) == (ta.dP - 1, ta.dD)
-        results.append(
-            (f"lift n={n}: lifts partition the next rank; degree transitions", ok)
-        )
-    return results
-
-
 def cmd_verify(args) -> int:
     ns = _parse_range(args.range)
-    bound = _bound(f"verify-{args.suite}", args.max_n)
+    bound = _bound(verify.SUITES[args.suite].bound, args.max_n)
     if ns[-1] > bound:
         raise BoundExceededError(
             f"verify {args.suite} bound is {bound}, requested up to {ns[-1]}"
         )
-    if args.suite == "counts":
-        results = _check_counts(ns)
-    elif args.suite == "star":
-        results = _check_star(ns)
-    elif args.suite == "oracle":
-        results = _check_oracle(ns, args.max_weight)
-    elif args.suite == "dual":
-        results = _check_dual(ns)
-    else:
-        results = _check_lift(ns)
-    for claim, ok in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {claim}")
+    if args.max_weight < 1:
+        raise ParseError(f"--max-weight must be at least 1, got {args.max_weight}")
+    results = verify.run(args.suite, ns, max_weight=args.max_weight)
+    for line, ok in results:
+        print(f"[{'PASS' if ok else 'FAIL'}] {line}")
     return EXIT_OK if all(ok for _, ok in results) else EXIT_VERIFY_FAILED
 
 
@@ -352,10 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("verify", help="run an invariant suite; exit 1 on failure")
-    p.add_argument("suite", choices=["counts", "star", "oracle", "dual", "lift"])
+    p.add_argument("suite", choices=list(verify.SUITES))
     p.add_argument("range", help="like 1..8, or a single integer")
     p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=4, help="oracle suite input weight cap")
+    p.add_argument(
+        "--max-weight", type=int, default=verify.DEFAULT_MAX_WEIGHT, help="oracle suite input weight cap"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lift", help="lift a permutation to the next rank")

@@ -170,12 +170,7 @@ class CountReport:
         return "\n".join(lines)
 
 
-def verify_counts(
-    n: int,
-    *,
-    max_decompose: int = DEFAULT_MAX_DECOMPOSE,
-    max_enumerate: int = DEFAULT_MAX_ENUMERATE,
-) -> CountReport:
+def verify_counts(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> CountReport:
     """Cross-check all counting routes at rank n; raises
     :class:`MismatchError` naming the offending (n, r) on any disagreement.
 
@@ -184,9 +179,9 @@ def verify_counts(
     convolution recurrence; the column sums are compared with the Catalan
     number and the single-top-level counts with the next-lower rank.
     """
-    table = count_table(n, max_n=max_enumerate)
+    table = count_table(n, max_n=max_n)
     os_counts = {r: 0 for r in range(1, n + 1)}
-    for t in decompose_W(n, max_n=max_decompose):
+    for t in decompose_W(n, max_n=max_n):
         os_type = is_OS(t)
         if os_type is not None:
             os_counts[os_type[0]] += 1

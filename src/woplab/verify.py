@@ -1,0 +1,107 @@
+"""The verification claims behind ``woplab verify`` and the acceptance suite.
+
+Each suite holds its claim about one rank n, the check of that claim and the
+largest n ``woplab verify`` runs without an override.  The caller admits n
+before a check runs, so each check passes n to the library as its size
+bound.  Checks call the library through its modules (``noncross.dual``), so
+that rebinding a module's function reaches them too.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+from . import counting, noncross, oracle, perm, pring, summation
+from .errors import MismatchError
+
+DEFAULT_MAX_WEIGHT = 4  # the oracle suite's input weight cap
+
+
+class Claim(NamedTuple):
+    """``check(n, max_weight)`` is true when the claim holds at rank n, or
+    raises :class:`MismatchError` saying what disagreed."""
+
+    text: str
+    check: Callable[[int, int], bool]
+    bound: int
+
+
+def _counts(n: int, max_weight: int) -> bool:
+    counting.verify_counts(n, max_n=n)  # raises MismatchError on any disagreement
+    return True
+
+
+def _templates_by_perm(n: int) -> dict[perm.Permutation, summation.SummationTemplate]:
+    return {t.perm: t for t in summation.decompose_W(n, max_n=n)}
+
+
+def _star(n: int, max_weight: int) -> bool:
+    templates = _templates_by_perm(n)
+    return all(
+        (summation.is_OS(templates[b]) is not None) == summation.satisfies_star(b)
+        for b in perm.all_permutations(n)
+    )
+
+
+def _oracle(n: int, max_weight: int) -> bool:
+    for w in range(1, max_weight + 1):
+        for F in map(pring.PPolynomial.monomial, pring.partitions(w)):
+            N = w + n + 1
+            lhs = oracle.tr_Dn_apply(n, F, N, max_n=n)
+            if not oracle.equal_as_p(lhs, n * pring.apply_W(n, F, max_n=n), N):
+                return False
+    return True
+
+
+def _dual(n: int, max_weight: int) -> bool:
+    """One dual per enumerated sequence: the involution is checked through
+    the index of the enumeration, so a dual outside it fails the claim."""
+    seqs = noncross.enumerate_sequences(n)
+    index = {s: i for i, s in enumerate(seqs)}
+    duals = [noncross.dual(s) for s in seqs]
+    return all(
+        d in index and duals[index[d]] == s and d.r == n - s.r + 1
+        and d == noncross.dual_via_gap_toggle(s)
+        for s, d in zip(seqs, duals)
+    )
+
+
+def _lift(n: int, max_weight: int) -> bool:
+    """Lifting moves (dP, dD) by (0, 1) for j = 0, by (1, 0) for j on the
+    hat quiver's chain and by (-1, 0) otherwise."""
+    below, above = _templates_by_perm(n), _templates_by_perm(n + 1)
+    lifted = []
+    for alpha in perm.all_permutations(n):
+        ta = below[alpha]
+        chain = set(perm.to_hat_quiver(alpha).chain)
+        for j in range(n + 1):
+            lifted.append(perm.lift(alpha, j))
+            tb = above.get(lifted[-1])
+            step = (0, 1) if j == 0 else (1, 0) if j in chain else (-1, 0)
+            if tb is None or (tb.dP - ta.dP, tb.dD - ta.dD) != step:
+                return False
+    return len(set(lifted)) == len(lifted) and set(lifted) == set(perm.all_permutations(n + 1))
+
+
+SUITES = {
+    "counts": Claim("enumeration == OS census == formula == recurrence", _counts, 8),
+    "star": Claim("maximal degree iff star condition, all {n}! permutations", _star, 7),
+    "oracle": Claim("trace calculus == summation engine, weights <= {max_weight}", _oracle, 3),
+    "dual": Claim("involution, type swap, table == gap toggle", _dual, 10),
+    "lift": Claim("lifts partition the next rank; degree transitions", _lift, 7),
+}
+
+
+def run(suite: str, ns, *, max_weight: int = DEFAULT_MAX_WEIGHT) -> list[tuple[str, bool]]:
+    """One (line, passed) per n in ``ns``; the line names the suite, n and
+    the claim, or what disagreed when the check raised a mismatch."""
+    claim = SUITES[suite]
+    results = []
+    for n in ns:
+        try:
+            ok = claim.check(n, max_weight)
+            text = claim.text.format(n=n, max_weight=max_weight)
+        except MismatchError as err:
+            ok, text = False, str(err)
+        results.append((f"{suite} n={n}: {text}", ok))
+    return results

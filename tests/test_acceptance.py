@@ -5,30 +5,14 @@ criterion.  Run with ``pytest tests/test_acceptance.py -v``."""
 import itertools
 import time
 
-import pytest
-
 from conftest import W3_DISPLAY, equivalent_up_to_relabeling
+from woplab import verify
 from woplab.counting import catalan, narayana, verify_counts
-from woplab.noncross import (
-    decode,
-    dual,
-    dual_via_gap_toggle,
-    encode,
-    enumerate_sequences,
-    parse_seq,
-    print_seq,
-)
-from woplab.oracle import (
-    D_apply,
-    XPolynomial,
-    equal_as_p,
-    p_to_x,
-    tr_Dn_apply,
-    x_power_entry,
-)
-from woplab.perm import Permutation, all_permutations, lift, project, to_hat_quiver
-from woplab.pring import PPolynomial, apply_W, parse_p, partitions
-from woplab.summation import decompose_W, is_OS, satisfies_star, summation_of
+from woplab.noncross import decode, dual, encode, enumerate_sequences, parse_seq, print_seq
+from woplab.oracle import D_apply, XPolynomial, p_to_x, x_power_entry
+from woplab.perm import Permutation, all_permutations, lift, project
+from woplab.pring import PPolynomial, apply_W, partitions
+from woplab.summation import decompose_W, satisfies_star, summation_of
 
 
 class Budget:
@@ -54,6 +38,13 @@ class Budget:
 
 def monomials_of_weight(w):
     return [PPolynomial.monomial(p) for p in partitions(w)]
+
+
+def assert_claims(suite, ns, **options):
+    """The registry's claim holds at every n in ns, as ``woplab verify``
+    checks it."""
+    failed = [line for line, ok in verify.run(suite, ns, **options) if not ok]
+    assert not failed, failed
 
 
 def test_acceptance_1_w3_reproduction():
@@ -87,12 +78,8 @@ def test_acceptance_1_w3_reproduction():
 def test_acceptance_2_catalan_narayana_counts():
     """Three independent count routes agree exactly for n = 1..8."""
     with Budget(2, 60.0):
+        assert_claims("counts", range(1, 9))
         for n in range(1, 9):
-            templates = decompose_W(n)
-            degree_census = sum(1 for t in templates if t.degree == n + 1)
-            assert degree_census == catalan(n)
-            # verify_counts recomputes enumeration, OS census, closed formula
-            # and the convolution recurrence, raising on any mismatch
             report = verify_counts(n)
             assert report.total == report.catalan == catalan(n)
             for row in report.rows:
@@ -103,11 +90,7 @@ def test_acceptance_2_catalan_narayana_counts():
 def test_acceptance_3_maximal_degree_iff_star():
     """is_OS <=> the star condition over all n! permutations, n = 1..7."""
     with Budget(3, 30.0):
-        for n in range(1, 8):
-            for beta in all_permutations(n):
-                assert (is_OS(summation_of(beta)) is not None) == satisfies_star(
-                    beta
-                ), beta
+        assert_claims("star", range(1, 8))
 
 
 def test_acceptance_4_bracket_bijection():
@@ -133,47 +116,24 @@ def test_acceptance_5_duality():
     with Budget(5, 60.0):
         source = parse_seq("(7(65)(4)(3)21)")
         assert print_seq(dual(source)) == "(7(6)(543)2)(1)"
-        for n in range(1, 11):
-            for s in enumerate_sequences(n):
-                d = dual(s)
-                assert d.r == n - s.r + 1
-                assert dual(d) == s
-                assert d == dual_via_gap_toggle(s)
+        assert_claims("dual", range(1, 11))
 
 
 def test_acceptance_6_lift_project_structure():
     """Lifts exhaust the next rank; degree transitions hold, n = 1..7."""
     with Budget(6, 30.0):
+        assert_claims("lift", range(1, 8))
         for n in range(1, 8):
-            lifted = []
             for alpha in all_permutations(n):
-                ta = summation_of(alpha)
-                chain = set(to_hat_quiver(alpha).chain)
                 for j in range(n + 1):
-                    beta = lift(alpha, j)
-                    lifted.append(beta)
-                    assert project(beta) == (alpha, j)
-                    tb = summation_of(beta)
-                    if j == 0:
-                        assert (tb.dP, tb.dD) == (ta.dP, ta.dD + 1)
-                    elif j in chain:
-                        assert (tb.dP, tb.dD) == (ta.dP + 1, ta.dD)
-                    else:
-                        assert (tb.dP, tb.dD) == (ta.dP - 1, ta.dD)
-            assert len(set(lifted)) == len(lifted)
-            assert set(lifted) == set(all_permutations(n + 1))
+                    assert project(lift(alpha, j)) == (alpha, j)
 
 
 def test_acceptance_7_matrix_oracle_equivalence():
     """Entry calculus reproduces the engine for n in {1,2,3}, weights <= 4,
     N = weight + n + 1; both derivation identities hold for k <= 4, N <= 4."""
     with Budget(7, 300.0):
-        for n in (1, 2, 3):
-            for w in range(1, 5):
-                for F in monomials_of_weight(w):
-                    N = w + n + 1
-                    lhs = tr_Dn_apply(n, F, N)
-                    assert equal_as_p(lhs, n * apply_W(n, F), N), (n, F)
+        assert_claims("oracle", (1, 2, 3), max_weight=4)
 
         # first identity: D_ab F(p) = sum_k k (X^k)_ab dF/dp_k
         for N in (2, 3, 4):

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from woplab import cli, noncross, summation
+import test_acceptance
+from woplab import cli, counting, noncross, summation, verify
 from woplab.cli import main
 
 
@@ -207,13 +208,47 @@ class TestVerify:
         assert code == 0 and out.count("[PASS]") == 2
 
     def test_failure_exits_1(self, capsys, monkeypatch):
-        import woplab.cli as cli
-
-        monkeypatch.setattr(
-            cli, "_check_star", lambda ns: [("star n=1: forced failure", False)]
-        )
+        star = verify.SUITES["star"]
+        monkeypatch.setitem(verify.SUITES, "star", star._replace(check=lambda n, w: False))
         code, out, _ = run(capsys, "verify", "star", "1")
         assert code == 1 and "[FAIL]" in out
+
+    def test_a_failing_claim_fails_the_cli_and_the_acceptance_suite(self, capsys, monkeypatch):
+        star = verify.SUITES["star"]
+        monkeypatch.setitem(verify.SUITES, "star", star._replace(check=lambda n, w: n != 5))
+        code, out, _ = run(capsys, "verify", "star", "4..6")
+        assert code == 1 and out.count("[PASS]") == 2
+        assert out.count("[FAIL] star n=5: maximal degree iff star condition") == 1
+        with pytest.raises(AssertionError, match="star n=5"):
+            test_acceptance.test_acceptance_3_maximal_degree_iff_star()
+
+    @pytest.mark.parametrize("override", [("--max-n", "4"), ("WOPLAB_MAX_N", "4")])
+    def test_override_reaches_the_library(self, capsys, monkeypatch, override):
+        # tr_Dn_apply's own default bound is 3
+        argv = ["verify", "oracle", "4", "--max-weight", "2"]
+        if override[0] == "--max-n":
+            argv += override
+        else:
+            monkeypatch.setenv(*override)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "[PASS] oracle n=4: trace calculus == summation engine, weights <= 2\n"
+
+    def test_count_passes_its_bound_to_the_library(self, capsys, monkeypatch):
+        bounds, verify_counts = [], counting.verify_counts
+        monkeypatch.setattr(
+            counting,
+            "verify_counts",
+            lambda n, *, max_n: bounds.append(max_n) or verify_counts(n, max_n=max_n),
+        )
+        assert run(capsys, "count", "3", "--max-n", "3")[0] == 0
+        assert bounds == [3]
+
+    @pytest.mark.parametrize("weight", ["0", "-3"])
+    def test_max_weight_below_1_exit_2(self, capsys, weight):
+        code, out, err = run(capsys, "verify", "oracle", "1..2", "--max-weight", weight)
+        assert (code, out) == (2, "")
+        assert err == f"error: --max-weight must be at least 1, got {weight}\n"
 
     def test_dual_suite_passes_up_to_its_bound(self, capsys):
         code, out, _ = run(capsys, "verify", "dual", "1..10")

@@ -12,7 +12,7 @@ from woplab.counting import (
     narayana_row_via_recurrence,
     verify_counts,
 )
-from woplab.errors import MismatchError
+from woplab.errors import BoundExceededError, MismatchError
 
 
 class TestClosedFormulas:
@@ -78,6 +78,11 @@ class TestVerifyCounts:
     def test_n1_and_n6(self):
         assert verify_counts(1).total == 1
         assert verify_counts(6).total == 132
+
+    def test_one_bound_for_enumeration_and_decomposition(self):
+        assert verify_counts(3, max_n=3).total == 5
+        with pytest.raises(BoundExceededError, match="bound is 2, got n=3"):
+            verify_counts(3, max_n=2)
 
     def test_json_schema(self):
         data = json.loads(verify_counts(4).as_json())
