@@ -1,8 +1,10 @@
 """Apply W-operators to polynomials in p_1, p_2, ... with exact rationals.
 
 W([1]) is the grading operator (it multiplies a homogeneous polynomial by
-its weight), and W([2]) is half the classical cut-and-join operator.  All
-coefficients below are exact fractions; no floating point is involved.
+its weight), and W([2]) is exactly Goulden-Jackson's cut-and-join operator
+Delta = 1/2 sum_{i,j} ((i+j) p_i p_j d/dp_{i+j} + i j p_{i+j} d^2/dp_i dp_j),
+so that W([2]) p1*p2 = p1^3 + 2*p3.  All coefficients below are exact
+fractions; no floating point is involved.
 """
 
 from fractions import Fraction

@@ -60,6 +60,7 @@ _LAZY = {
         "dual",
         "dual_via_gap_toggle",
         "encode",
+        "enumerate_json",
         "enumerate_sequences",
         "enumerate_single_top",
         "rank_shift_down",

@@ -136,19 +136,18 @@ def cmd_seq(args) -> int:
         if args.r_value is None:
             raise ParseError("seq enumerate needs N and R")
         bound = _bound(DEFAULT_BOUNDS["enumerate"], args.max_n)
-        seqs = noncross.enumerate_sequences(
-            int(args.value), int(args.r_value), max_n=bound
-        )
+        n, r = int(args.value), int(args.r_value)
         if args.format == "json":
-            # streamed one sequence at a time, each released once written
-            # (with its cached pairs); same bytes as dumping the list
-            sys.stdout.write("[")
-            for i, s in enumerate(seqs):
-                sys.stdout.write((", " if i else "") + s.to_json())
-                seqs[i] = None
-            sys.stdout.write("]\n")
+            # streamed: each sequence's text is written as the walk reaches
+            # it; same bytes as dumping the list
+            texts = noncross.enumerate_json(n, r, max_n=bound)
+            write = sys.stdout.write
+            write("[")
+            for i, text in enumerate(texts):
+                write(", " + text if i else text)
+            write("]\n")
         else:
-            for s in seqs:
+            for s in noncross.enumerate_sequences(n, r, max_n=bound):
                 print(noncross.print_seq(s))
     else:  # unreachable through argparse
         raise ParseError(f"unknown seq action {action!r}")

@@ -18,6 +18,12 @@ The dual sequence rewrites the four bracket positions around each integer by
 a fixed 16-row local table.  The table is equivalent to toggling each
 interior gap between "" and ")(" while fixing lone brackets, which this
 module also implements as an independent cross-check.
+
+Sequences are equal and hashed by their gap tuples.  Validation happens where
+gaps come from outside or from a rewrite under test: the public constructor,
+:func:`parse_seq`, :func:`encode`, the rank shifts and both dual
+formulations check every sequence they build.  :func:`enumerate_sequences`
+builds only sequences its pruned walk has kept valid and skips the check.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import BoundExceededError, ParseError
 from .perm import Permutation
@@ -43,6 +49,7 @@ __all__ = [
     "dual",
     "dual_via_gap_toggle",
     "enumerate_sequences",
+    "enumerate_json",
     "enumerate_single_top",
     "rank_shift_up",
     "rank_shift_down",
@@ -56,6 +63,8 @@ _GAP_STEPS = {gap: (gap.count(")"), gap.count("(")) for gap in GAP_ALPHABET}
 _GAP_DEPTH = {gap: opens - closes for gap, (closes, opens) in _GAP_STEPS.items()}
 _GAP_JSON = {gap: json.dumps(gap) for gap in GAP_ALPHABET}
 DEFAULT_MAX_ENUMERATE = 12
+
+_new, _set = object.__new__, object.__setattr__
 
 
 class BracketPair(NamedTuple):
@@ -71,7 +80,7 @@ class BracketPair(NamedTuple):
         return self.left_gap < other.left_gap and other.right_gap < self.right_gap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BracketSequence:
     """A valid bracket insertion into the word n n-1 ... 1 (see module docs)."""
 
@@ -104,6 +113,22 @@ class BracketSequence:
                 raise ValueError(f"integer {n - g} is not inside any bracket pair")
         if depth != 0:
             raise ValueError("unbalanced brackets: unclosed '('")
+
+    @classmethod
+    def _unchecked(cls, n: int, gaps: tuple[str, ...]) -> "BracketSequence":
+        """A sequence whose gaps its caller built valid on n integers."""
+        seq = _new(cls)
+        _set(seq, "n", n)
+        _set(seq, "gaps", gaps)
+        return seq
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gaps == other.gaps
+
+    def __hash__(self) -> int:
+        return hash(self.gaps)
 
     @property
     def r(self) -> int:
@@ -493,32 +518,121 @@ def enumerate_sequences(
     in lexicographic order of their gap arrays under the alphabet order
     "" < "(" < ")" < ")(".
     """
+    _admit(n, max_n)
+    if r is not None and not 1 <= r <= n:
+        return []
+    unchecked = BracketSequence._unchecked
+    return [unchecked(n, gaps) for gaps in _walk(n, r)]
+
+
+def enumerate_json(
+    n: int, r: int, *, max_n: int = DEFAULT_MAX_ENUMERATE
+) -> Iterator[str]:
+    """The text of ``s.to_json()`` for each ``s`` in
+    ``enumerate_sequences(n, r)``, in that order, one at a time and without
+    building the sequences.  n is admitted when this is called, before the
+    first text is asked for."""
+    _admit(n, max_n)
+    if not 1 <= r <= n:
+        return iter(())
+    return _walk(n, r, as_json=True)
+
+
+def _admit(n: int, max_n: int) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise BoundExceededError(f"enumeration bound is {max_n}, got n={n}")
-    if r is not None and not 1 <= r <= n:
-        return []
-    # Grow all gap prefixes one gap at a time.  Each prefix is extended in
-    # alphabet order, so every level stays in lexicographic order.  A prefix
-    # is kept only if it can be completed: the next integer is covered, the
-    # depth can still fall to 1 before the trailing gap closes the last pair
-    # (each later interior gap closes at most one), and with r given the
-    # left brackets can still total exactly r.
-    prefixes: list[tuple[tuple[str, ...], int, int]] = [((), 0, 0)]
-    for g in range(n):
-        room = n - g  # gaps g..n-1 can each hold one '('
-        values = ("", "(") if g == 0 else GAP_ALPHABET
-        steps = [(value, *_GAP_STEPS[value]) for value in values]
-        grown = []
-        for prefix, depth, opens in prefixes:
-            for value, closes, more in steps:
-                d = depth - closes + more
-                o = opens + more
+
+
+def _walk(n: int, r: int | None, as_json: bool = False) -> Iterator:
+    """Every valid gap tuple on n integers (with r left brackets when r is
+    given) in lexicographic order, by one depth-first walk down
+    :func:`_prefix_steps`; with ``as_json`` (r given) the JSON text of each.
+
+    For JSON, a prefix carries its gaps' text, each open pair's members
+    text (innermost first, as nested 2-tuples) and its closed pairs' text in
+    label order.  A pair's text is written once, when it closes: the c-th
+    pair closed has label r - c + 1, and every leaf below shares that text.
+    """
+    root = _prefix_steps(n, r)
+    if not as_json:
+        stack = [((), root)]
+        while stack:
+            gaps, (last, steps) = stack.pop()
+            if last:
+                for step in steps:
+                    yield gaps + step[0]
+            else:
+                stack += [(gaps + step[0], step[-1]) for step in reversed(steps)]
+        return
+    # gaps text, open pairs' members, closed pairs' text, pairs closed, steps
+    stack = [("", None, "", 0, root)]
+    while stack:
+        text, opened, pairs, closed, (last, steps) = stack.pop()
+        for _, piece, closes, more, k, below in steps if last else reversed(steps):
+            open_now, done, c = opened, pairs, closed
+            if closes:
+                members, open_now = open_now
+                c += 1
+                done = _pair_json(r - c + 1, members, done)
+            if more:
+                open_now = ("", open_now)
+            top, outer = open_now
+            open_now = (k + ", " + top if top else k, outer)
+            if last:
+                # the trailing ")" closes the last open pair, label 1
+                yield '{"n": %d, "gaps": [%s, ")"], "pairs": [%s]}' % (
+                    n, text + piece, _pair_json(1, open_now[0], done)
+                )
+            else:
+                stack.append((text + piece, open_now, done, c, below))
+
+
+def _prefix_steps(n: int, r: int | None) -> tuple[bool, list]:
+    """The pruned prefix tree of :func:`_walk`, one node per state.
+
+    A prefix of g gaps is kept only if it can be completed: the next
+    integer is covered, the depth can still fall to 1 before the trailing
+    gap closes the last pair (each later interior gap closes at most one),
+    and with r given the left brackets can still total exactly r.  That
+    depends only on (g, depth, left brackets), the state.  A node is
+    (whether its children are complete, their steps in alphabet order); a
+    step is (gaps it adds, their JSON text, its ')' and '(' counts, the
+    integer after it, the child's node), and at the last interior gap it
+    adds the trailing ")" too.
+    """
+    nodes: dict[tuple[int, int, int], tuple[bool, list]] = {}
+
+    def node(g: int, depth: int, opens: int) -> tuple[bool, list]:
+        key = (g, depth, opens)
+        if key not in nodes:
+            room = n - g  # gaps g..n-1 can each hold one '('
+            last = g == n - 1
+            steps = []
+            for value in ("", "(") if g == 0 else GAP_ALPHABET:
+                closes, more = _GAP_STEPS[value]
+                d, o = depth - closes + more, opens + more
                 if 1 <= d <= room and (r is None or o <= r < o + room):
-                    grown.append((prefix + (value,), d, o))
-        prefixes = grown
-    return [BracketSequence(n, prefix + (")",)) for prefix, _, _ in prefixes]
+                    steps.append((
+                        (value, ")") if last else (value,),
+                        (", " if g else "") + _GAP_JSON[value],
+                        closes,
+                        more,
+                        str(n - g),
+                        None if last else node(g + 1, d, o),
+                    ))
+            nodes[key] = (last, steps)
+        return nodes[key]
+
+    return node(0, 0, 0)
+
+
+def _pair_json(label: int, members: str, later: str) -> str:
+    """One pair's JSON text, put before the text of the pairs with larger
+    labels."""
+    pair = '{"label": %d, "members": [%s]}' % (label, members)
+    return pair + ", " + later if later else pair
 
 
 def enumerate_single_top(

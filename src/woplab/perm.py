@@ -8,9 +8,15 @@ Conventions used throughout:
 - the canonical cycle list starts each cycle at its smallest element and
   sorts cycles by smallest element, so the cycle containing 1 comes first.
 
-Permutations are immutable value objects with structural equality.  No group
-multiplication is provided; the operations that matter here are the quiver
-maps and the lift/project pair.
+Permutations are immutable value objects, equal and hashed by their image
+tuples.  No group multiplication is provided; the operations that matter here
+are the quiver maps and the lift/project pair.
+
+Validation happens where images come from outside: the public constructor,
+:meth:`Permutation.from_images`, :meth:`Permutation.from_cycles` and
+:meth:`Permutation.parse` check for a bijection on 1..n.  :func:`lift`,
+:func:`project` and :func:`all_permutations` build bijections by
+construction and skip that check.
 """
 
 from __future__ import annotations
@@ -39,8 +45,10 @@ __all__ = [
 # rank m+1, so it lies in {0, ..., m}.
 LiftChain = tuple[int, ...]
 
+_new, _set = object.__new__, object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """A permutation of {1..n}, stored by its image tuple.
 
@@ -63,6 +71,21 @@ class Permutation:
             raise ValueError("rank must be at least 1")
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {self.images}")
+
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation whose images its caller built as a bijection."""
+        perm = _new(cls)
+        _set(perm, "images", images)
+        return perm
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
 
     @property
     def n(self) -> int:
@@ -208,7 +231,7 @@ def _tokenize_cycles(text: str) -> list[list[str]]:
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All elements of S_n in lexicographic order of image tuples."""
     for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+        yield Permutation._unchecked(images)
 
 
 def to_quiver(perm: Permutation) -> frozenset[tuple[int, int]]:
@@ -318,7 +341,7 @@ def project(beta: Permutation) -> tuple[Permutation, int]:
         i = beta.preimage(m)  # i >= 2 since beta(1) != m
         hat = {v: (j if v == i else b[v - 1]) for v in range(2, m + 1)}
         images = [hat[m]] + [hat[v] for v in range(2, n + 1)]
-    return Permutation(tuple(images)), j
+    return Permutation._unchecked(tuple(images)), j
 
 
 def lift(alpha: Permutation, j: int) -> Permutation:
@@ -347,7 +370,7 @@ def lift(alpha: Permutation, j: int) -> Permutation:
         # cut the hat arrow i -> j; i = m when the arrow leaves the top vertex
         i = a.index(j)
         new[i or n] = m
-    return Permutation(tuple(new))
+    return Permutation._unchecked(tuple(new))
 
 
 def lift_chain(perm: Permutation) -> LiftChain:

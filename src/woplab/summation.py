@@ -25,6 +25,12 @@ applied to the new vertex, so every permutation of rank m+1 is built from
 its parent of rank m by one lift.  The templates of W([n]) depend on n
 alone, so :func:`decompose_W` keeps them for n <= 7 and builds each such n
 once per process.
+
+Validation happens where a template comes from outside: the public
+constructor checks that its cycle blocks are the permutation's cycle
+partition and that its derivative blocks partition 1..n.
+:func:`summation_of` and :func:`decompose_W` derive both partitions from
+the permutation itself and skip those checks.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ DEFAULT_MAX_DECOMPOSE = 9
 
 Blocks = tuple[tuple[int, ...], ...]
 
+_new, _set = object.__new__, object.__setattr__
+
 
 def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
     # disjoint blocks differ in their smallest element, so sorting the
@@ -86,6 +94,17 @@ class SummationTemplate:
         if covered != list(range(1, n + 1)):
             raise ValueError(f"derivative_blocks must partition 1..{n}")
 
+    @classmethod
+    def _unchecked(
+        cls, perm: Permutation, cycle_blocks: Blocks, derivative_blocks: Blocks
+    ) -> "SummationTemplate":
+        """A template whose blocks its caller derived from ``perm``."""
+        t = _new(cls)
+        _set(t, "perm", perm)
+        _set(t, "cycle_blocks", cycle_blocks)
+        _set(t, "derivative_blocks", derivative_blocks)
+        return t
+
     @property
     def n(self) -> int:
         return self.perm.n
@@ -111,10 +130,8 @@ def summation_of(beta: Permutation) -> SummationTemplate:
             blocks.append([m + 1])
         else:
             next(b for b in blocks if j in b).append(m + 1)
-    return SummationTemplate(
-        perm=beta,
-        cycle_blocks=_cycle_blocks(beta),
-        derivative_blocks=_canonical_blocks(blocks),
+    return SummationTemplate._unchecked(
+        beta, _cycle_blocks(beta), _canonical_blocks(blocks)
     )
 
 
@@ -232,10 +249,8 @@ def _build_templates(n: int) -> list[SummationTemplate]:
         return kept
 
     templates = [
-        SummationTemplate(
-            perm=beta,
-            cycle_blocks=share(_cycle_blocks(beta)),
-            derivative_blocks=share(blocks),
+        SummationTemplate._unchecked(
+            beta, share(_cycle_blocks(beta)), share(blocks)
         )
         for beta, blocks, _ in level
     ]

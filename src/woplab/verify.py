@@ -54,16 +54,27 @@ def _oracle(n: int, max_weight: int) -> bool:
 
 
 def _dual(n: int, max_weight: int) -> bool:
-    """One dual per enumerated sequence: the involution is checked through
-    the index of the enumeration, so a dual outside it fails the claim."""
-    seqs = noncross.enumerate_sequences(n)
-    index = {s: i for i, s in enumerate(seqs)}
-    duals = [noncross.dual(s) for s in seqs]
-    return all(
-        d in index and duals[index[d]] == s and d.r == n - s.r + 1
-        and d == noncross.dual_via_gap_toggle(s)
-        for s, d in zip(seqs, duals)
-    )
+    """One dual per enumerated sequence, checked in one pass through the
+    index of the enumeration, which lists the sequences by pair count r:
+    each dual must sit among those with n - r + 1 pairs (the type swap),
+    its own dual must be the sequence it came from (the involution), and
+    the gap toggle must give the same gaps."""
+    seqs: list = []
+    starts = [0]  # the sequences with r pairs are seqs[starts[r-1]:starts[r]]
+    for r in range(1, n + 1):
+        seqs += noncross.enumerate_sequences(n, r, max_n=n)
+        starts.append(len(seqs))
+    index = {s.gaps: i for i, s in enumerate(seqs)}
+    duals = [noncross.dual(s).gaps for s in seqs]
+    toggle = noncross.dual_via_gap_toggle
+    for r in range(1, n + 1):
+        lo, hi = starts[n - r], starts[n - r + 1]
+        for i in range(starts[r - 1], starts[r]):
+            s, d = seqs[i], duals[i]
+            j = index.get(d, -1)
+            if not lo <= j < hi or duals[j] != s.gaps or d != toggle(s).gaps:
+                return False
+    return True
 
 
 def _lift(n: int, max_weight: int) -> bool:

@@ -162,6 +162,27 @@ class TestSeq:
         assert peak < 9 * 2**20
 
 
+class TestEnumerateJson:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_streamed_text_is_the_dumped_list(self, capsys, n):
+        for r in range(1, n + 1):
+            code, out, err = run(capsys, "seq", "enumerate", str(n), str(r), "--json")
+            expected = json.dumps([s.to_json_dict() for s in noncross.enumerate_sequences(n, r)])
+            assert (code, out, err) == (0, expected + "\n", "")
+
+    @pytest.mark.parametrize("r", ["0", "5", "-1"])
+    def test_pair_count_out_of_range_prints_an_empty_list(self, capsys, r):
+        assert run(capsys, "seq", "enumerate", "4", r, "--json") == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [("13", "enumeration bound is 12, got n=13"), ("0", "n must be at least 1")],
+    )
+    def test_bad_n_exit_2_before_any_output(self, capsys, n, message):
+        for r in ("0", "1", "2"):
+            assert run(capsys, "seq", "enumerate", n, r, "--json") == (2, "", f"error: {message}\n")
+
+
 class TestCount:
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "count", "3", "--json")
@@ -280,10 +301,27 @@ class TestVerify:
         else:
             enumerate_sequences = noncross.enumerate_sequences
             monkeypatch.setattr(
-                noncross, "enumerate_sequences", lambda n: enumerate_sequences(n)[:-1]
+                noncross,
+                "enumerate_sequences",
+                lambda n, r=None, *, max_n=noncross.DEFAULT_MAX_ENUMERATE: (
+                    enumerate_sequences(n, r, max_n=max_n)[:-1]
+                ),
             )
         code, out, _ = run(capsys, "verify", "dual", "4..6")
         assert code == 1 and "[FAIL]" in out
+
+    def test_dual_suite_passes_each_n_as_the_enumeration_bound(self, capsys, monkeypatch):
+        calls, enumerate_sequences = [], noncross.enumerate_sequences
+
+        def spy(n, r=None, *, max_n=noncross.DEFAULT_MAX_ENUMERATE):
+            calls.append((n, max_n))
+            return enumerate_sequences(n, r, max_n=max_n)
+
+        monkeypatch.setattr(noncross, "enumerate_sequences", spy)
+        code, out, _ = run(capsys, "verify", "dual", "4..6")
+        assert code == 0 and out.count("[PASS]") == 3
+        assert {n for n, _ in calls} == {4, 5, 6}
+        assert all(max_n == n for n, max_n in calls)
 
     def test_bad_range_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "star", "0..2")

@@ -1,0 +1,78 @@
+"""The producers that build values valid by construction, and skip the
+checking constructors, against those constructors: every value they build
+passes its class's public constructor and equals what it builds there."""
+
+import pytest
+
+from woplab import summation
+from woplab.noncross import BracketSequence, enumerate_sequences, parse_seq
+from woplab.perm import Permutation, all_permutations, lift, project
+from woplab.summation import SummationTemplate, decompose_W, summation_of
+
+
+def checked_sequence(s):
+    rebuilt = BracketSequence(s.n, s.gaps)
+    assert (s.n, s.gaps) == (rebuilt.n, rebuilt.gaps) and vars(s) == vars(rebuilt)
+    return rebuilt
+
+
+def checked_permutation(p):
+    rebuilt = Permutation(p.images)
+    assert vars(p) == vars(rebuilt)
+    return rebuilt
+
+
+def checked_template(t):
+    return SummationTemplate(checked_permutation(t.perm), t.cycle_blocks, t.derivative_blocks)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_enumerated_sequence_passes_the_constructor(n):
+    for r in (None, *range(1, n + 1)):
+        seqs = enumerate_sequences(n, r)
+        assert seqs == [checked_sequence(s) for s in seqs]
+        assert all(type(s) is BracketSequence and s.n == n for s in seqs)
+        if r is not None:
+            assert all(s.r == r for s in seqs)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_lift_passes_the_constructor(n):
+    for alpha in all_permutations(n):
+        for j in range(n + 1):
+            beta = lift(alpha, j)
+            assert beta == checked_permutation(beta) and beta.n == n + 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_permutation_and_projection_passes_the_constructor(n):
+    perms = list(all_permutations(n))
+    assert perms == [checked_permutation(p) for p in perms]
+    assert len(set(perms)) == len(perms)
+    if n > 1:
+        for beta in perms:
+            alpha, _ = project(beta)
+            assert alpha == checked_permutation(alpha) and alpha.n == n - 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_template_passes_the_constructor(n, monkeypatch):
+    monkeypatch.setattr(summation, "_KEPT", {})  # built afresh, not taken from the store
+    templates = decompose_W(n)
+    assert templates == [checked_template(t) for t in templates]
+    if n <= 6:
+        assert [summation_of(t.perm) for t in templates] == templates
+
+
+def test_equality_is_by_class_and_defining_field():
+    s = parse_seq("(4(3)2)(1)")
+    assert s != s.gaps and s.gaps != s
+    assert s not in {s.gaps} and s.gaps not in {s: 0}
+    assert s == BracketSequence(4, tuple(s.gaps)) and hash(s) == hash(BracketSequence(4, s.gaps))
+    assert s != parse_seq("(4)(321)")
+    p = Permutation.parse("(3 2 1)")
+    assert p != p.images and p.images != p
+    assert p not in {p.images} and p.images not in {p: 0}
+    assert p == Permutation((3, 1, 2)) and hash(p) == hash(Permutation((3, 1, 2)))
+    assert p != Permutation.identity(3)
+    assert p != s and s != p
