@@ -4,7 +4,7 @@ Subcommands: decompose, apply, seq, count, verify, lift, project.
 Output is plain text by default; --json selects the machine format and
 --latex (where supported) the display format.  Exit codes: 0 on success,
 1 when a verification suite fails, 2 on usage or parse errors.  The
-environment variable WOPLAB_MAX_N overrides the per-subcommand size bounds.
+environment variable WOPLAB_MAX_N overrides the library's default size bounds.
 """
 
 from __future__ import annotations
@@ -17,18 +17,12 @@ import sys
 from fractions import Fraction
 
 from . import counting, noncross, pring, summation, verify
-from .errors import BoundExceededError, ParseError
+from .errors import BoundExceededError, ParseError, admit
 from .perm import Permutation, lift, project
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-DEFAULT_BOUNDS = {
-    "decompose": 8,
-    "apply": 8,
-    "enumerate": noncross.DEFAULT_MAX_ENUMERATE,
-}
 
 
 def _bound(default: int, override: int | None) -> int:
@@ -57,7 +51,7 @@ def _parse_range(text: str) -> range:
 
 
 def cmd_decompose(args) -> int:
-    bound = _bound(DEFAULT_BOUNDS["decompose"], args.max_n)
+    bound = _bound(summation.DEFAULT_MAX_DECOMPOSE, args.max_n)
     templates = summation.decompose_W(args.n, max_n=bound)
     if args.format == "json":
         # streamed one template at a time; same bytes as dumping the list
@@ -80,16 +74,13 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    bound = _bound(DEFAULT_BOUNDS["apply"], args.max_n)
+    bound = _bound(summation.DEFAULT_MAX_DECOMPOSE, args.max_n)
     F = pring.parse_p(args.polynomial)
     if args.perm is not None:
         beta = Permutation.parse(args.perm)
         if beta.n != args.n:
-            raise ParseError(
-                f"--perm has rank {beta.n}, expected {args.n}"
-            )
-        if args.n > bound:
-            raise BoundExceededError(f"apply bound is {bound}, got n={args.n}")
+            raise ParseError(f"--perm has rank {beta.n}, expected {args.n}")
+        admit(args.n, bound, "apply")
         template = summation.summation_of(beta)
         result = Fraction(1, args.n) * pring.apply_template(template, F)
     else:
@@ -135,7 +126,7 @@ def cmd_seq(args) -> int:
     elif action == "enumerate":
         if args.r_value is None:
             raise ParseError("seq enumerate needs N and R")
-        bound = _bound(DEFAULT_BOUNDS["enumerate"], args.max_n)
+        bound = _bound(noncross.DEFAULT_MAX_ENUMERATE, args.max_n)
         n, r = int(args.value), int(args.r_value)
         if args.format == "json":
             # streamed: each sequence's text is written as the walk reaches
@@ -155,9 +146,8 @@ def cmd_seq(args) -> int:
 
 
 def cmd_count(args) -> int:
-    bound = _bound(verify.SUITES["counts"].bound, args.max_n)
-    if args.n > bound:
-        raise BoundExceededError(f"count bound is {bound}, got n={args.n}")
+    bound = _bound(summation.DEFAULT_MAX_DECOMPOSE, args.max_n)
+    admit(args.n, bound, "count")
     report = counting.verify_counts(args.n, max_n=bound)
     print(report.as_json() if args.format == "json" else report.as_text())
     return EXIT_OK

@@ -20,11 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import MismatchError
-from .noncross import (
-    DEFAULT_MAX_ENUMERATE,
-    enumerate_sequences,
-    enumerate_single_top,
-)
+from .noncross import DEFAULT_MAX_ENUMERATE, enumerate_sequences
 from .summation import DEFAULT_MAX_DECOMPOSE, decompose_W, is_OS
 
 __all__ = [
@@ -112,8 +108,11 @@ class CountTable:
 
 
 def count_table(n: int, *, max_n: int = DEFAULT_MAX_ENUMERATE) -> CountTable:
-    by_r = {r: len(enumerate_sequences(n, r, max_n=max_n)) for r in range(1, n + 1)}
-    tilde = {r: len(enumerate_single_top(n, r, max_n=max_n)) for r in range(1, n + 1)}
+    by_r, tilde = {}, {}
+    for r in range(1, n + 1):
+        seqs = enumerate_sequences(n, r, max_n=max_n)
+        by_r[r] = len(seqs)
+        tilde[r] = sum(len(s.top_level_labels) == 1 for s in seqs)
     return CountTable(n=n, by_r=by_r, tilde_by_r=tilde, total=sum(by_r.values()))
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .errors import BoundExceededError, ParseError
+from .errors import ParseError, admit
 from .perm import Permutation
 from .summation import satisfies_star
 
@@ -518,7 +518,7 @@ def enumerate_sequences(
     in lexicographic order of their gap arrays under the alphabet order
     "" < "(" < ")" < ")(".
     """
-    _admit(n, max_n)
+    admit(n, max_n, "enumeration")
     if r is not None and not 1 <= r <= n:
         return []
     unchecked = BracketSequence._unchecked
@@ -532,17 +532,10 @@ def enumerate_json(
     ``enumerate_sequences(n, r)``, in that order, one at a time and without
     building the sequences.  n is admitted when this is called, before the
     first text is asked for."""
-    _admit(n, max_n)
+    admit(n, max_n, "enumeration")
     if not 1 <= r <= n:
         return iter(())
     return _walk(n, r, as_json=True)
-
-
-def _admit(n: int, max_n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise BoundExceededError(f"enumeration bound is {max_n}, got n={n}")
 
 
 def _walk(n: int, r: int | None, as_json: bool = False) -> Iterator:

@@ -43,7 +43,7 @@ import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .errors import BoundExceededError
+from .errors import admit
 from .perm import Permutation
 from .pring import PPolynomial, SparsePolynomial
 
@@ -231,19 +231,12 @@ def cyclic_pairs(avec: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def tr_Dn_apply(
-    n: int,
-    F: PPolynomial,
-    N: int,
-    *,
-    max_n: int = DEFAULT_MAX_TRACE_POWER,
+    n: int, F: PPolynomial, N: int, *, max_n: int = DEFAULT_MAX_TRACE_POWER
 ) -> XPolynomial:
     """sum over (a_1..a_n) in {1..N}^n of the normal-ordered cyclic product
     applied to F as an entry polynomial.  This is n * W([n]) F; the caller
     divides by n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise BoundExceededError(f"tr_Dn_apply bound is {max_n}, got n={n}")
+    admit(n, max_n, "tr_Dn_apply")
     if N < F.max_weight() + n:
         raise ValueError(
             f"N={N} too small: need N >= weight + n = {F.max_weight() + n} "

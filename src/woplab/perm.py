@@ -132,9 +132,12 @@ class Permutation:
                 images[a] = b
             images[cycle[-1]] = cycle[0]
         n = max(images) if images else 0
-        if sorted(images) != list(range(1, n + 1)):
-            missing = sorted(set(range(1, n + 1)) - set(images))
-            raise ValueError(f"cycles do not cover 1..{n}; missing {missing}")
+        if len(images) != n or min(images, default=1) < 1:
+            # n comes from the input: name at most ten, and build nothing of size n
+            missing = list(itertools.islice((a for a in range(1, n + 1) if a not in images), 10))
+            more = n - sum(a >= 1 for a in images) - len(missing)
+            tail = f" and {more} more" if more > 0 else ""
+            raise ValueError(f"cycles do not cover 1..{n}; missing {missing}{tail}")
         return cls(tuple(images[i] for i in range(1, n + 1)))
 
     @classmethod

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterator, Mapping, Union
 
-from .errors import BoundExceededError, ParseError
+from .errors import ParseError, admit
 from .summation import DEFAULT_MAX_DECOMPOSE, SummationTemplate, decompose_W
 
 __all__ = [
@@ -512,10 +512,7 @@ def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PP
     templates share 877).  ``apply_W(6, p1^6)`` applies 1 template,
     ``apply_W(6, p1*p2*p3)`` 120 and ``apply_W(7, p7)`` 720.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise BoundExceededError(f"apply_W bound is {max_n}, got n={n}")
+    admit(n, max_n, "apply_W")
     # every template's coefficients have denominators dividing this one
     denominator = lcm(*(c.denominator for c in F._coeffs))
     descending = [mono[::-1] for mono in F._monos]

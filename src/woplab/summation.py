@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import BoundExceededError
+from .errors import admit
 from .perm import Permutation, cycles_of, lift, lift_chain
 
 __all__ = [
@@ -56,9 +56,9 @@ __all__ = [
     "DEFAULT_MAX_DECOMPOSE",
 ]
 
-# Full enumeration of S_n; n(n!) work beyond this is refused unless the
-# caller raises the bound explicitly.
-DEFAULT_MAX_DECOMPOSE = 9
+# Full enumeration of S_n.  W([8]) is built afresh on each call; n = 9
+# (about 11 s) needs an explicit max_n.
+DEFAULT_MAX_DECOMPOSE = 8
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -199,12 +199,10 @@ def decompose_W(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> list[Summation
     one object: the 5,040 templates of W([7]) share 127 blocks and 877 block
     tuples, and no permutation caches its cycles.  Kept this way, W([6])
     and W([7]) together hold about 1.7 MB by tracemalloc; W([8]) alone
-    would pin about 12 MB, so n = 8 and 9 are built afresh on every call.
+    would pin about 12 MB, so it is built afresh on every call.  n = 9 is
+    refused unless ``max_n`` admits it.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise BoundExceededError(f"decompose_W bound is {max_n}, got n={n}")
+    admit(n, max_n, "decompose_W")
     if n > _KEEP_MAX_N:
         return _build_templates(n)
     templates = _KEPT.get(n)

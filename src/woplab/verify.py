@@ -95,11 +95,26 @@ def _lift(n: int, max_weight: int) -> bool:
 
 
 SUITES = {
-    "counts": Claim("enumeration == OS census == formula == recurrence", _counts, 8),
+    "counts": Claim(
+        "enumeration == OS census == formula == recurrence",
+        _counts,
+        summation.DEFAULT_MAX_DECOMPOSE,
+    ),
+    # a time budget below decompose_W's bound
     "star": Claim("maximal degree iff star condition, all {n}! permutations", _star, 7),
-    "oracle": Claim("trace calculus == summation engine, weights <= {max_weight}", _oracle, 3),
+    "oracle": Claim(
+        "trace calculus == summation engine, weights <= {max_weight}",
+        _oracle,
+        oracle.DEFAULT_MAX_TRACE_POWER,
+    ),
+    # a time budget below the enumeration bound
     "dual": Claim("involution, type swap, table == gap toggle", _dual, 10),
-    "lift": Claim("lifts partition the next rank; degree transitions", _lift, 7),
+    # one below decompose_W's bound, since the check builds W([n+1])
+    "lift": Claim(
+        "lifts partition the next rank; degree transitions",
+        _lift,
+        summation.DEFAULT_MAX_DECOMPOSE - 1,
+    ),
 }
 
 

@@ -210,6 +210,22 @@ class TestLiftProject:
         code, _, err = run(capsys, "lift", "(21)", "5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lift", "{}", "0"],
+            ["project", "{}"],
+            ["seq", "encode", "{}"],
+            ["apply", "2", "p1", "--perm", "{}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_huge_integer_in_a_permutation_exits_2_at_once(self, capsys, argv):
+        argv = [a.format("(1 1000000000000000000)") for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cycles do not cover 1..1000000000000000000;") and len(err) < 200
+
 
 class TestVerify:
     def test_suites_pass(self, capsys):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from woplab import counting, noncross
 from woplab.counting import (
     CountReport,
     CountRow,
@@ -78,6 +79,21 @@ class TestVerifyCounts:
     def test_n1_and_n6(self):
         assert verify_counts(1).total == 1
         assert verify_counts(6).total == 132
+
+    def test_count_table_enumerates_each_r_once(self, monkeypatch):
+        calls, enumerate_sequences = [], noncross.enumerate_sequences
+
+        def spy(n, r=None, *, max_n=noncross.DEFAULT_MAX_ENUMERATE):
+            calls.append((n, r))
+            return enumerate_sequences(n, r, max_n=max_n)
+
+        # both binding sites, so that a walk through enumerate_single_top counts too
+        monkeypatch.setattr(noncross, "enumerate_sequences", spy)
+        monkeypatch.setattr(counting, "enumerate_sequences", spy)
+        table = counting.count_table(6)
+        assert calls == [(6, r) for r in range(1, 7)]
+        single_top = {r: len(noncross.enumerate_single_top(6, r)) for r in range(1, 7)}
+        assert table.tilde_by_r == single_top
 
     def test_one_bound_for_enumeration_and_decomposition(self):
         assert verify_counts(3, max_n=3).total == 5

@@ -54,6 +54,30 @@ class TestPermutation:
         with pytest.raises(ParseError):
             perm("()")
 
+    def test_parse_refuses_a_huge_integer_without_building_its_range(self):
+        with pytest.raises(ParseError) as err:
+            perm("(1 1000000000000000000)")
+        assert str(err.value) == (
+            "cycles do not cover 1..1000000000000000000; "
+            "missing [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 999999999999999988 more"
+        )
+
+    @pytest.mark.parametrize(
+        "cycles, message",
+        [
+            ([(1, 3)], "cycles do not cover 1..3; missing [2]"),
+            ([(4, 1)], "cycles do not cover 1..4; missing [2, 3]"),
+            ([(1, 12)], f"cycles do not cover 1..12; missing {list(range(2, 12))}"),
+            ([(1, 13)], f"cycles do not cover 1..13; missing {list(range(2, 12))} and 1 more"),
+            ([(0, 1)], "cycles do not cover 1..1; missing []"),
+            ([(1, 2), (0,)], "cycles do not cover 1..2; missing []"),
+        ],
+    )
+    def test_from_cycles_names_at_most_ten_missing_integers(self, cycles, message):
+        with pytest.raises(ValueError) as err:
+            Permutation.from_cycles(cycles)
+        assert str(err.value) == message
+
     def test_roundtrip_str_parse(self):
         for p in all_permutations(4):
             assert Permutation.parse(str(p)) == p
