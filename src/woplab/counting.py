@@ -178,12 +178,13 @@ def verify_counts(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> CountReport:
     convolution recurrence; the column sums are compared with the Catalan
     number and the single-top-level counts with the next-lower rank.
     """
-    table = count_table(n, max_n=max_n)
+    # the census first, so that its bound is the one that refuses n
     os_counts = {r: 0 for r in range(1, n + 1)}
     for t in decompose_W(n, max_n=max_n):
         os_type = is_OS(t)
         if os_type is not None:
             os_counts[os_type[0]] += 1
+    table = count_table(n, max_n=max_n)
     recurrence = narayana_row_via_recurrence(n)
 
     rows = []

@@ -147,7 +147,7 @@ class BracketSequence:
             )
         )
 
-    @cached_property
+    @property
     def top_level_labels(self) -> tuple[int, ...]:
         """Labels of the pairs no other pair contains, in label order.  Pairs
         in label order have descending right gaps, so a pair is top-level
@@ -424,18 +424,15 @@ def classify_pairs(seq: BracketSequence) -> PairClassification:
     contains_any = {
         p.label: any(p.contains(q) for q in pairs) for p in pairs
     }
-    adjacent = set()
-    for p in pairs:
-        for q in pairs:
-            if p.label < q.label and p.right_gap == q.left_gap:
-                adjacent.add((p.label, q.label))
-            if q.label < p.label and p.right_gap == q.left_gap:
-                adjacent.add((q.label, p.label))
+    # q opening where p closes has its ')' right of p's, so the smaller label
+    adjacent = frozenset(
+        (q.label, p.label) for p in pairs for q in pairs if p.right_gap == q.left_gap
+    )
     return PairClassification(
         top_level=frozenset(l for l, c in contained.items() if not c),
         embedded=frozenset(l for l, c in contained.items() if c),
         bottom_level=frozenset(l for l, c in contains_any.items() if not c),
-        adjacent=frozenset(adjacent),
+        adjacent=adjacent,
     )
 
 

@@ -8,9 +8,11 @@ Conventions used throughout:
 - the canonical cycle list starts each cycle at its smallest element and
   sorts cycles by smallest element, so the cycle containing 1 comes first.
 
-Permutations are immutable value objects, equal and hashed by their image
-tuples.  No group multiplication is provided; the operations that matter here
-are the quiver maps and the lift/project pair.
+Permutations are immutable value objects that hold their image tuple and
+nothing else, equal and hashed by it.  Cycles and cycle supports are
+computed afresh on each read, so reading them never grows a permutation.  No
+group multiplication is provided; the operations that matter here are the
+quiver maps and the lift/project pair.
 
 Validation happens where images come from outside: the public constructor,
 :meth:`Permutation.from_images`, :meth:`Permutation.from_cycles` and
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
@@ -48,7 +49,7 @@ LiftChain = tuple[int, ...]
 _new, _set = object.__new__, object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Permutation:
     """A permutation of {1..n}, stored by its image tuple.
 
@@ -100,12 +101,12 @@ class Permutation:
         """The unique i with self(i) == j."""
         return self.images.index(j) + 1
 
-    @cached_property
+    @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles in canonical order (see module docstring)."""
         return cycles_of(self.images)
 
-    @cached_property
+    @property
     def cycle_supports(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(c) for c in self.cycles)
 
@@ -162,16 +163,12 @@ class Permutation:
                 raise ParseError(str(literal_err)) from None
 
     def __str__(self) -> str:
-        # from cycles_of, so that printing a kept permutation caches nothing
-        return "".join(
-            "(" + " ".join(str(v) for v in c) + ")" for c in cycles_of(self.images)
-        )
+        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in self.cycles)
 
 
 def cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The disjoint cycles of the permutation with these images, in
-    canonical order, computed afresh: unlike :attr:`Permutation.cycles`,
-    nothing is cached on a permutation.
+    canonical order; :attr:`Permutation.cycles` reads them from here.
 
     >>> cycles_of((3, 1, 2, 4))
     ((1, 3, 2), (4,))
@@ -246,7 +243,7 @@ def to_quiver(perm: Permutation) -> frozenset[tuple[int, int]]:
     return frozenset((i, perm(i)) for i in range(1, perm.n + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HatQuiver:
     """The re-rooted quiver of a rank-n permutation on vertices {1..n+1}.
 
@@ -272,37 +269,21 @@ class HatQuiver:
         if targets != list(range(1, n + 1)):
             raise ValueError(f"targets must be exactly 1..{n}: {targets}")
 
-    @cached_property
-    def _out(self) -> dict[int, int]:
-        return {s: t for s, t in self.arrows}
-
-    @cached_property
+    @property
     def chain(self) -> tuple[int, ...]:
         """Vertices of the chain, from n+1 down to 1."""
+        out = dict(self.arrows)
         path = [self.n + 1]
-        while path[-1] in self._out:
-            path.append(self._out[path[-1]])
+        while path[-1] in out:
+            path.append(out[path[-1]])
         assert path[-1] == 1
         return tuple(path)
 
-    @cached_property
+    @property
     def loops(self) -> tuple[tuple[int, ...], ...]:
-        """Each loop as an arrow-ordered cycle starting at its smallest vertex."""
-        on_chain = set(self.chain)
-        out = []
-        seen: set[int] = set()
-        for start in range(2, self.n + 1):
-            if start in on_chain or start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            v = self._out[start]
-            while v != start:
-                cycle.append(v)
-                seen.add(v)
-                v = self._out[v]
-            out.append(tuple(cycle))
-        return tuple(out)
+        """Each loop as an arrow-ordered cycle starting at its smallest
+        vertex: the cycles of :meth:`to_permutation` that do not hold 1."""
+        return self.to_permutation().cycles[1:]
 
     def to_permutation(self) -> Permutation:
         images = [0] * self.n

@@ -24,7 +24,8 @@ each child lift(alpha, j) are those of alpha with the single lift step above
 applied to the new vertex, so every permutation of rank m+1 is built from
 its parent of rank m by one lift.  The templates of W([n]) depend on n
 alone, so :func:`decompose_W` keeps them for n <= 7 and builds each such n
-once per process.
+once per process.  Templates, like permutations, hold their fields and
+nothing else, so what callers read from a kept template leaves it as built.
 
 Validation happens where a template comes from outside: the public
 constructor checks that its cycle blocks are the permutation's cycle
@@ -37,11 +38,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import admit
-from .perm import Permutation, cycles_of, lift, lift_chain
+from .perm import Permutation, lift, lift_chain
 
 __all__ = [
     "SummationTemplate",
@@ -72,12 +72,11 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 
 
 def _cycle_blocks(perm: Permutation) -> Blocks:
-    # read from the images, so that no cycles are cached on a kept
-    # permutation; cycles_of already orders cycles by smallest element
-    return tuple(tuple(sorted(c)) for c in cycles_of(perm.images))
+    # cycles come ordered by smallest element
+    return tuple(tuple(sorted(c)) for c in perm.cycles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummationTemplate:
     """Normal form of one summation: owning permutation plus two set partitions."""
 
@@ -197,10 +196,11 @@ def decompose_W(n: int, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> list[Summation
     process and kept; every call returns a fresh list of the same frozen
     templates.  Within one build, equal blocks and equal block tuples are
     one object: the 5,040 templates of W([7]) share 127 blocks and 877 block
-    tuples, and no permutation caches its cycles.  Kept this way, W([6])
-    and W([7]) together hold about 1.7 MB by tracemalloc; W([8]) alone
-    would pin about 12 MB, so it is built afresh on every call.  n = 9 is
-    refused unless ``max_n`` admits it.
+    tuples.  Templates and permutations hold their fields alone, so reading
+    their cycles keeps nothing.  Kept this way, W([6]) and W([7]) together
+    hold about 1.3 MB by tracemalloc; W([8]) alone would pin about 8.7 MB,
+    so it is built afresh on every call.  n = 9 is refused unless ``max_n``
+    admits it.
     """
     admit(n, max_n, "decompose_W")
     if n > _KEEP_MAX_N:
@@ -303,7 +303,7 @@ def to_json_dict(t: SummationTemplate) -> dict:
     os_type = is_OS(t)
     return {
         "n": t.n,
-        "perm": [list(c) for c in cycles_of(t.perm.images)],
+        "perm": [list(c) for c in t.perm.cycles],
         "cycle_blocks": [list(b) for b in t.cycle_blocks],
         "derivative_blocks": [list(b) for b in t.derivative_blocks],
         "dP": t.dP,
@@ -324,7 +324,7 @@ def to_json(t: SummationTemplate) -> str:
         '"dP": %d, "dD": %d, "degree": %d, "os_type": %s, "latex": %s}'
     ) % (
         t.n,
-        list(map(list, cycles_of(t.perm.images))),
+        list(map(list, t.perm.cycles)),
         list(map(list, t.cycle_blocks)),
         list(map(list, t.derivative_blocks)),
         t.dP,

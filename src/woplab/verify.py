@@ -9,6 +9,7 @@ that rebinding a module's function reaches them too.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 from . import counting, noncross, oracle, perm, pring, summation
@@ -31,15 +32,12 @@ def _counts(n: int, max_weight: int) -> bool:
     return True
 
 
-def _templates_by_perm(n: int) -> dict[perm.Permutation, summation.SummationTemplate]:
-    return {t.perm: t for t in summation.decompose_W(n, max_n=n)}
-
-
 def _star(n: int, max_weight: int) -> bool:
-    templates = _templates_by_perm(n)
-    return all(
-        (summation.is_OS(templates[b]) is not None) == summation.satisfies_star(b)
-        for b in perm.all_permutations(n)
+    """Every template of W([n]) has maximal degree exactly when its
+    permutation satisfies the star condition, over n! distinct permutations."""
+    templates = summation.decompose_W(n, max_n=n)
+    return len({t.perm for t in templates}) == len(templates) == math.factorial(n) and all(
+        (summation.is_OS(t) is not None) == summation.satisfies_star(t.perm) for t in templates
     )
 
 
@@ -79,19 +77,22 @@ def _dual(n: int, max_weight: int) -> bool:
 
 def _lift(n: int, max_weight: int) -> bool:
     """Lifting moves (dP, dD) by (0, 1) for j = 0, by (1, 0) for j on the
-    hat quiver's chain and by (-1, 0) otherwise."""
-    below, above = _templates_by_perm(n), _templates_by_perm(n + 1)
-    lifted = []
-    for alpha in perm.all_permutations(n):
-        ta = below[alpha]
-        chain = set(perm.to_hat_quiver(alpha).chain)
+    hat quiver's chain and by (-1, 0) otherwise.  The (n+1)·n! lifts must be
+    distinct and each a permutation of W([n+1]), which has (n+1)! distinct
+    ones, so they cover it."""
+    above = summation.decompose_W(n + 1, max_n=n + 1)
+    by_perm = {t.perm: t for t in above}
+    lifted = set()
+    for ta in summation.decompose_W(n, max_n=n):
+        chain = set(perm.to_hat_quiver(ta.perm).chain)
         for j in range(n + 1):
-            lifted.append(perm.lift(alpha, j))
-            tb = above.get(lifted[-1])
+            beta = perm.lift(ta.perm, j)
+            tb = by_perm.get(beta)
             step = (0, 1) if j == 0 else (1, 0) if j in chain else (-1, 0)
-            if tb is None or (tb.dP - ta.dP, tb.dD - ta.dD) != step:
+            if tb is None or beta in lifted or (tb.dP - ta.dP, tb.dD - ta.dD) != step:
                 return False
-    return len(set(lifted)) == len(lifted) and set(lifted) == set(perm.all_permutations(n + 1))
+            lifted.add(beta)
+    return len(lifted) == len(by_perm) == len(above) == math.factorial(n + 1)
 
 
 SUITES = {

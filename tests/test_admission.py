@@ -122,6 +122,12 @@ def test_admission_messages_are_unchanged(capsys, no_build, call, message):
         assert run(capsys, *call) == (2, "", f"error: {message}\n")
 
 
+def test_verify_counts_is_refused_by_its_census_bound(no_build):
+    with pytest.raises(BoundExceededError) as err:
+        counting.verify_counts(9)
+    assert str(err.value) == "decompose_W bound is 8, got n=9"
+
+
 class TestAdmit:
     def test_admits_1_to_max_n(self):
         for n in range(1, 5):

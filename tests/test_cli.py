@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import test_acceptance
-from woplab import cli, counting, noncross, summation, verify
+from woplab import cli, counting, noncross, perm, summation, verify
 from woplab.cli import main
 
 
@@ -325,6 +325,38 @@ class TestVerify:
             )
         code, out, _ = run(capsys, "verify", "dual", "4..6")
         assert code == 1 and "[FAIL]" in out
+
+    @pytest.mark.parametrize("fault", ["drop", "duplicate", "extra"])
+    @pytest.mark.parametrize("suite, faulty_rank", [("star", 4), ("lift", 4), ("lift", 5)])
+    def test_star_and_lift_catch_a_faulty_decomposition(
+        self, capsys, monkeypatch, suite, faulty_rank, fault
+    ):
+        decompose_W = summation.decompose_W
+
+        def faulty(n, *, max_n=summation.DEFAULT_MAX_DECOMPOSE):
+            templates = decompose_W(n, max_n=max_n)
+            if n == faulty_rank:
+                if fault == "drop":
+                    del templates[7]
+                elif fault == "duplicate":
+                    templates[8] = templates[7]
+                else:
+                    templates.append(templates[7])
+            return templates
+
+        monkeypatch.setattr(summation, "decompose_W", faulty)
+        code, out, _ = run(capsys, "verify", suite, "4")
+        assert code == 1 and out.startswith("[FAIL]")
+
+    def test_lift_suite_catches_a_lift_repeating_a_permutation(self, capsys, monkeypatch):
+        # j = 2 and j = 3 both cut a loop of the identity's hat quiver, so
+        # the repeated lift still moves (dP, dD) as the claim says
+        lift, identity = perm.lift, perm.Permutation.identity(4)
+        monkeypatch.setattr(
+            perm, "lift", lambda alpha, j: lift(alpha, 2 if (alpha, j) == (identity, 3) else j)
+        )
+        code, out, _ = run(capsys, "verify", "lift", "4")
+        assert code == 1 and out.startswith("[FAIL]")
 
     def test_dual_suite_passes_each_n_as_the_enumeration_bound(self, capsys, monkeypatch):
         calls, enumerate_sequences = [], noncross.enumerate_sequences

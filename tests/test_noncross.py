@@ -436,6 +436,15 @@ class TestAgainstReferenceEngine:
         for s in seqs:
             assert_matches_reference(s)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_adjacency_pairs_the_labels_meeting_at_each_close_open_gap(self, n):
+        for s in enumerate_sequences(n):
+            pairs = reference_pairs(s)
+            opened = {p.left_gap: p.label for p in pairs}
+            closed = {p.right_gap: p.label for p in pairs}
+            expected = {(opened[g], closed[g]) for g, gap in enumerate(s.gaps) if gap == ")("}
+            assert classify_pairs(s).adjacent == expected
+
     def test_seeded_sample_at_12(self):
         rng = random.Random(12)
         for _ in range(2000):

@@ -10,15 +10,22 @@ from woplab.perm import Permutation, all_permutations, lift, project
 from woplab.summation import SummationTemplate, decompose_W, summation_of
 
 
+def fields(obj):
+    """Every slot read by getattr, so that an unset slot raises, or the
+    instance dict of a class without slots."""
+    slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+    return {name: getattr(obj, name) for name in slots} if slots else vars(obj)
+
+
 def checked_sequence(s):
     rebuilt = BracketSequence(s.n, s.gaps)
-    assert (s.n, s.gaps) == (rebuilt.n, rebuilt.gaps) and vars(s) == vars(rebuilt)
+    assert (s.n, s.gaps) == (rebuilt.n, rebuilt.gaps) and fields(s) == fields(rebuilt)
     return rebuilt
 
 
 def checked_permutation(p):
     rebuilt = Permutation(p.images)
-    assert vars(p) == vars(rebuilt)
+    assert fields(p) == fields(rebuilt)
     return rebuilt
 
 
@@ -76,3 +83,16 @@ def test_equality_is_by_class_and_defining_field():
     assert p == Permutation((3, 1, 2)) and hash(p) == hash(Permutation((3, 1, 2)))
     assert p != Permutation.identity(3)
     assert p != s and s != p
+
+
+def test_fields_reads_every_slot_and_fails_on_an_unset_one():
+    p = Permutation((2, 1))
+    assert fields(p) == {"images": (2, 1)}
+    with pytest.raises(AttributeError):
+        fields(object.__new__(Permutation))
+    t = decompose_W(2)[0]
+    assert fields(t) == {
+        "perm": t.perm,
+        "cycle_blocks": t.cycle_blocks,
+        "derivative_blocks": t.derivative_blocks,
+    }
