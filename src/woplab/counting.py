@@ -16,7 +16,7 @@ agreement.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from .errors import MismatchError
@@ -137,21 +137,7 @@ class CountReport:
         return all(row.ok for row in self.rows) and self.total == self.catalan
 
     def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [
-                {
-                    "r": row.r,
-                    "enumerated": row.enumerated,
-                    "os_count": row.os_count,
-                    "narayana": row.narayana,
-                    "ok": row.ok,
-                }
-                for row in self.rows
-            ],
-            "total": self.total,
-            "catalan": self.catalan,
-        }
+        return asdict(self)
 
     def as_json(self) -> str:
         return json.dumps(self.as_json_dict())

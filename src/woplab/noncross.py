@@ -24,6 +24,8 @@ gaps come from outside or from a rewrite under test: the public constructor,
 :func:`parse_seq`, :func:`encode`, the rank shifts and both dual
 formulations check every sequence they build.  :func:`enumerate_sequences`
 builds only sequences its pruned walk has kept valid and skips the check.
+Text is scanned by the cycle-notation scanner of :mod:`woplab.perm`, and the
+JSON text of a sequence is ``json.dumps`` of its dict.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .errors import ParseError, admit
-from .perm import Permutation
+from .perm import Permutation, _tokens
 from .summation import satisfies_star
 
 __all__ = [
@@ -161,27 +163,18 @@ class BracketSequence:
         return tuple(labels)
 
     def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_json_dict())``, written straight
-        from the gaps and the matching pass, without building the dict or
-        any :class:`BracketPair` (so nothing is cached on the sequence).  A
-        list of ints has the same repr as its JSON text."""
-        gaps = ", ".join([_GAP_JSON[gap] for gap in self.gaps])
-        pairs = ", ".join(
-            [
-                '{"label": %d, "members": %r}' % (label, members)
-                for label, (_, _, members) in enumerate(
-                    _matched_pairs(self.n, self.gaps), 1
-                )
-            ]
-        )
-        return '{"n": %d, "gaps": [%s], "pairs": [%s]}' % (self.n, gaps, pairs)
+        return json.dumps(self.to_json_dict())
 
     def to_json_dict(self) -> dict:
+        """Labels and members come straight from :func:`_matched_pairs`, so
+        no :class:`BracketPair` is built or cached on the sequence."""
+        matched = _matched_pairs(self.n, self.gaps)
         return {
             "n": self.n,
             "gaps": list(self.gaps),
             "pairs": [
-                {"label": p.label, "members": list(p.members)} for p in self.pairs
+                {"label": label, "members": members}
+                for label, (_, _, members) in enumerate(matched, 1)
             ],
         }
 
@@ -268,17 +261,14 @@ def print_seq(seq: BracketSequence, labels: bool = False) -> str:
 
 
 def _gaps_from_tokens(n: int, tokens: list[tuple[str, int]]) -> BracketSequence:
-    """Assemble gap strings from (token, position) pairs; the integer tokens
-    must be exactly n..1 in order.  The gap list grows with the integers
-    read, so a misreading with a huge n costs nothing before it fails."""
+    """Assemble gap strings from (token, position) pairs whose integer
+    tokens are n, n-1, ... in order, as :func:`_split_runs` emits them; they
+    must reach 1.  The gap list grows with the integers read, so a
+    misreading with a huge n costs nothing before it fails."""
     gaps = [""]
     expected = n
     for token, pos in tokens:
         if token.isdigit():
-            if int(token) != expected:
-                raise ParseError(
-                    f"expected integer {expected}, found {token}", position=pos
-                )
             expected -= 1
             gaps.append("")
         else:
@@ -312,23 +302,7 @@ def parse_seq(text: str) -> BracketSequence:
     integers, and the reading of the first run that makes the whole text
     parse (longest first) wins.
     """
-    runs: list[tuple[str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            runs.append((ch, i))
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            runs.append((text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", position=i)
+    runs = list(_tokens(text))
     first_run = next((r for r, _ in runs if r.isdigit()), None)
     if first_run is None:
         raise ParseError("no integers found")
@@ -418,20 +392,17 @@ def classify_pairs(seq: BracketSequence) -> PairClassification:
     """Pair flags plus the adjacency relation (no integers strictly between
     two pairs, which under the slot discipline means they share a ')(' gap)."""
     pairs = seq.pairs
-    contained = {
-        p.label: any(q.contains(p) for q in pairs) for p in pairs
-    }
-    contains_any = {
-        p.label: any(p.contains(q) for q in pairs) for p in pairs
-    }
+    top_level = frozenset(seq.top_level_labels)
     # q opening where p closes has its ')' right of p's, so the smaller label
     adjacent = frozenset(
         (q.label, p.label) for p in pairs for q in pairs if p.right_gap == q.left_gap
     )
     return PairClassification(
-        top_level=frozenset(l for l, c in contained.items() if not c),
-        embedded=frozenset(l for l, c in contained.items() if c),
-        bottom_level=frozenset(l for l, c in contains_any.items() if not c),
+        top_level=top_level,
+        embedded=frozenset(p.label for p in pairs) - top_level,
+        bottom_level=frozenset(
+            p.label for p in pairs if not any(p.contains(q) for q in pairs)
+        ),
         adjacent=adjacent,
     )
 

@@ -18,7 +18,9 @@ Validation happens where images come from outside: the public constructor,
 :meth:`Permutation.from_images`, :meth:`Permutation.from_cycles` and
 :meth:`Permutation.parse` check for a bijection on 1..n.  :func:`lift`,
 :func:`project` and :func:`all_permutations` build bijections by
-construction and skip that check.
+construction and skip that check.  Cycle notation is scanned by
+:func:`_tokens`, which also scans bracket-sequence text for
+:func:`woplab.noncross.parse_seq`.
 """
 
 from __future__ import annotations
@@ -189,38 +191,43 @@ def cycles_of(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _tokens(text: str) -> Iterator[tuple[str, int]]:
+    """Each ``(``, ``)`` and maximal digit run of ``text`` with its offset;
+    whitespace is skipped, and any other character raises when reached."""
+    i = 0
+    while i < len(text):
+        ch, j = text[i], i + 1
+        if ch.isdigit():
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            yield text[i:j], i
+        elif ch in "()":
+            yield ch, i
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", position=i)
+        i = j
+
+
 def _tokenize_cycles(text: str) -> list[list[str]]:
     """Split cycle notation into a list of cycles, each a list of digit runs."""
     cycles: list[list[str]] = []
     current: list[str] | None = None
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
+    for token, i in _tokens(text):
+        if token == "(":
             if current is not None:
                 raise ParseError("nested '('", position=i)
             current = []
-            i += 1
-        elif ch == ")":
+        elif token == ")":
             if current is None:
                 raise ParseError("unmatched ')'", position=i)
             if not current:
                 raise ParseError("empty cycle", position=i)
             cycles.append(current)
             current = None
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if current is None:
-                raise ParseError("integer outside any cycle", position=i)
-            current.append(text[i:j])
-            i = j
+        elif current is None:
+            raise ParseError("integer outside any cycle", position=i)
         else:
-            raise ParseError(f"unexpected character {ch!r}", position=i)
+            current.append(token)
     if current is not None:
         raise ParseError("unclosed '('", position=len(text))
     if not cycles:

@@ -79,12 +79,14 @@ def _lift(n: int, max_weight: int) -> bool:
     """Lifting moves (dP, dD) by (0, 1) for j = 0, by (1, 0) for j on the
     hat quiver's chain and by (-1, 0) otherwise.  The (n+1)·n! lifts must be
     distinct and each a permutation of W([n+1]), which has (n+1)! distinct
-    ones, so they cover it."""
+    ones, so they cover it.  Below its top vertex n+1, which j never is, the
+    chain is the cycle through 1 (pinned against ``perm.to_hat_quiver`` in
+    the tests), so no checked hat quiver is built per template."""
     above = summation.decompose_W(n + 1, max_n=n + 1)
     by_perm = {t.perm: t for t in above}
     lifted = set()
     for ta in summation.decompose_W(n, max_n=n):
-        chain = set(perm.to_hat_quiver(ta.perm).chain)
+        chain = set(ta.perm.cycles[0])
         for j in range(n + 1):
             beta = perm.lift(ta.perm, j)
             tb = by_perm.get(beta)

@@ -6,7 +6,7 @@ import itertools
 import time
 
 from conftest import W3_DISPLAY, equivalent_up_to_relabeling
-from woplab import verify
+from woplab import counting, verify
 from woplab.counting import catalan, narayana, verify_counts
 from woplab.noncross import decode, dual, encode, enumerate_sequences, parse_seq, print_seq
 from woplab.oracle import D_apply, XPolynomial, p_to_x, x_power_entry
@@ -75,12 +75,21 @@ def test_acceptance_1_w3_reproduction():
         assert len(seen) == 6
 
 
-def test_acceptance_2_catalan_narayana_counts():
-    """Three independent count routes agree exactly for n = 1..8."""
+def test_acceptance_2_catalan_narayana_counts(monkeypatch):
+    """Three independent count routes agree exactly for n = 1..8, read from
+    the reports that the counts claim computed."""
+    reports = []
+
+    def capture(n, **kwargs):
+        reports.append(verify_counts(n, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(counting, "verify_counts", capture)
     with Budget(2, 60.0):
         assert_claims("counts", range(1, 9))
-        for n in range(1, 9):
-            report = verify_counts(n)
+        assert len(reports) == 8
+        for n, report in enumerate(reports, 1):
+            assert report.n == n
             assert report.total == report.catalan == catalan(n)
             for row in report.rows:
                 assert row.enumerated == row.os_count == row.narayana
