@@ -47,6 +47,16 @@ def _parse_range(text: str) -> range:
     return values
 
 
+def _write_json_list(texts) -> None:
+    """Write the JSON texts as one list, each as it comes: the same bytes
+    as dumping the list, without holding it."""
+    write = sys.stdout.write
+    write("[")
+    for i, text in enumerate(texts):
+        write(", " + text if i else text)
+    write("]\n")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -54,11 +64,7 @@ def cmd_decompose(args) -> int:
     bound = _bound(summation.DEFAULT_MAX_DECOMPOSE, args.max_n)
     templates = summation.decompose_W(args.n, max_n=bound)
     if args.format == "json":
-        # streamed one template at a time; same bytes as dumping the list
-        sys.stdout.write("[")
-        for i, t in enumerate(templates):
-            sys.stdout.write((", " if i else "") + summation.to_json(t))
-        sys.stdout.write("]\n")
+        _write_json_list(map(summation.to_json, templates))
     elif args.format == "latex":
         for t in templates:
             print(f"FS_{{{t.perm}}}: {summation.render(t, 'latex')}")
@@ -123,25 +129,17 @@ def cmd_seq(args) -> int:
             print(f"embedded: {sorted(c.embedded)}")
             print(f"bottom-level: {sorted(c.bottom_level)}")
             print(f"adjacent: {sorted(tuple(pair) for pair in c.adjacent)}")
-    elif action == "enumerate":
+    else:  # enumerate, the last of argparse's choices
         if args.r_value is None:
             raise ParseError("seq enumerate needs N and R")
         bound = _bound(noncross.DEFAULT_MAX_ENUMERATE, args.max_n)
         n, r = int(args.value), int(args.r_value)
         if args.format == "json":
-            # streamed: each sequence's text is written as the walk reaches
-            # it; same bytes as dumping the list
-            texts = noncross.enumerate_json(n, r, max_n=bound)
-            write = sys.stdout.write
-            write("[")
-            for i, text in enumerate(texts):
-                write(", " + text if i else text)
-            write("]\n")
+            # admits n before the list is begun
+            _write_json_list(noncross.enumerate_json(n, r, max_n=bound))
         else:
             for s in noncross.enumerate_sequences(n, r, max_n=bound):
                 print(noncross.print_seq(s))
-    else:  # unreachable through argparse
-        raise ParseError(f"unknown seq action {action!r}")
     return EXIT_OK
 
 

@@ -107,9 +107,8 @@ class BracketSequence:
             g = steps.index(None)
             raise ValueError(f"bad gap value {self.gaps[g]!r} at gap {g}")
         depth = 0
+        # no ')' closes nothing: gap 0 holds none, later gaps start at depth >= 1
         for g, (closes, opens) in enumerate(steps):
-            if depth < closes:
-                raise ValueError("unbalanced brackets: ')' closes nothing")
             depth += opens - closes
             if depth < 1 and g < n:
                 raise ValueError(f"integer {n - g} is not inside any bracket pair")

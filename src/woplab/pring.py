@@ -458,13 +458,11 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
     (one per derivative block b, of index at least |B_b|) are walked.  Each
     choice fixes the block sums m_b; the k-vectors with those sums are
     counted per cell (derivative block x cycle block) with binomials rather
-    than listed, once per choice within the call.  The table of cells is
-    built only once a first choice exists, since for many pairs of template
-    and F there is none.  Coefficients are summed as integers over the
-    common denominator of F's coefficients.
+    than listed, once per choice within the call.  Coefficients are summed
+    as integers over the common denominator of F's coefficients.
     """
     sizes = tuple(len(b) for b in t.derivative_blocks)
-    cells = None
+    cells = _cells(t)
     denominator = lcm(*(c.denominator for c in F._coeffs))
     expansions: dict[tuple[int, ...], list[tuple[Monomial, int]]] = {}
     out: dict[Monomial, int] = {}
@@ -473,8 +471,6 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
         for ms, weight, rest in _factor_choices(mono, sizes):
             expansion = expansions.get(ms)
             if expansion is None:
-                if cells is None:
-                    cells = _cells(t)
                 expansion = expansions[ms] = _cycle_monomials(cells, ms, t.dP)
             for indices, count in expansion:
                 key = tuple(sorted(indices + rest))

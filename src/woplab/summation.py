@@ -149,14 +149,12 @@ def is_OS(t: SummationTemplate) -> Optional[tuple[int, int]]:
 def has_descending_cycles(perm: Permutation) -> bool:
     """Every cycle of length >= 2, followed along arrows, descends through its
     support, with the single ascent being the wrap from minimum to maximum.
-    Fixed points hold vacuously."""
+    The wrap needs no check: once every descending step is an arrow, the
+    maximum is the only vertex of the cycle left without a preimage.  Fixed
+    points hold vacuously."""
     for cycle in perm.cycles:
-        if len(cycle) < 2:
-            continue
         descending = sorted(cycle, reverse=True)
         if any(perm(a) != b for a, b in zip(descending, descending[1:])):
-            return False
-        if perm(descending[-1]) != descending[0]:
             return False
     return True
 

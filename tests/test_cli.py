@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import test_acceptance
-from woplab import cli, counting, noncross, perm, summation, verify
+from woplab import cli, counting, noncross, perm, pring, summation, verify
 from woplab.cli import main
 
 
@@ -66,6 +66,10 @@ class TestDecompose:
         monkeypatch.setenv("WOPLAB_MAX_N", "4")
         code, out, _ = run(capsys, "decompose", "4")
         assert code == 0 and len(out.strip().splitlines()) == 24
+        monkeypatch.setenv("WOPLAB_MAX_N", "abc")
+        assert run(capsys, "decompose", "3") == (
+            2, "", "error: WOPLAB_MAX_N must be an integer, got 'abc'\n"
+        )
 
 
     def test_json_streams_kept_templates(self, capsys):
@@ -326,6 +330,30 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "dual", "4..6")
         assert code == 1 and "[FAIL]" in out
 
+    def test_counts_suite_fails_on_a_faulty_route(self, capsys, monkeypatch):
+        # the recurrence route is one too high at r = 3; the census and the
+        # enumeration still agree with the formula
+        recurrence = counting.narayana_row_via_recurrence
+        monkeypatch.setattr(
+            counting,
+            "narayana_row_via_recurrence",
+            lambda n: {r: c + (r == 3) for r, c in recurrence(n).items()},
+        )
+        code, out, _ = run(capsys, "verify", "counts", "5")
+        assert code == 1
+        assert out.startswith("[FAIL] counts n=5: count mismatch at (n, r) in [(5, 3)]:\n")
+        assert "[PASS]" not in out
+
+    def test_oracle_suite_fails_on_a_faulty_engine(self, capsys, monkeypatch):
+        apply_W, p1 = pring.apply_W, pring.PPolynomial.variable(1)
+        monkeypatch.setattr(
+            pring,
+            "apply_W",
+            lambda n, F, *, max_n=summation.DEFAULT_MAX_DECOMPOSE: apply_W(n, F, max_n=max_n) + p1,
+        )
+        code, out, _ = run(capsys, "verify", "oracle", "2")
+        assert code == 1 and out.startswith("[FAIL] oracle n=2: ")
+
     @pytest.mark.parametrize("fault", ["drop", "duplicate", "extra"])
     @pytest.mark.parametrize("suite, faulty_rank", [("star", 4), ("lift", 4), ("lift", 5)])
     def test_star_and_lift_catch_a_faulty_decomposition(
@@ -535,3 +563,27 @@ def template_transcript_sha256(capsys) -> str:
 def test_template_corpus_is_byte_identical(capsys, monkeypatch):
     monkeypatch.setattr(summation, "_KEPT", {})  # the first runs build afresh
     assert template_transcript_sha256(capsys) == TEMPLATE_SHA256
+
+
+# malformed input: exit code 2 and this exact stderr (with the non-integer
+# WOPLAB_MAX_N of TestDecompose.test_env_var_bound), recorded before the
+# package's namespace was derived from its modules' __all__
+ERROR_CORPUS = [
+    (["lift", "(1 (2)", "0"], "nested '(' (at position 3)"),
+    (["lift", ")", "0"], "unmatched ')' (at position 0)"),
+    (["lift", "", "0"], "no cycles found"),
+    (["lift", "(1 x)", "0"], "unexpected character 'x' (at position 3)"),
+    (["lift", "()", "0"], "empty cycle (at position 1)"),
+    (["project", "(1)"], "projection needs rank at least 2"),
+    (["apply", "2", "1/0*p1"], "zero denominator (at position 3)"),
+    (["apply", "2", "p1 p2"], "expected '+' or '-', found 'p' (at position 3)"),
+    (["apply", "2", "p0"], "p-index must be positive (at position 2)"),
+    (["seq", "decode", "(01)"], "integers may not have leading zeros"),
+    (["seq", "decode", "(2)(1)x"], "unexpected character 'x' (at position 6)"),
+    (["seq", "dual", "(3(21)"], "unbalanced brackets: unclosed '('"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ERROR_CORPUS, ids=[" ".join(a) for a, _ in ERROR_CORPUS])
+def test_error_corpus_exits_2_with_its_message(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")

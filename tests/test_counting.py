@@ -114,7 +114,7 @@ class TestVerifyCounts:
         assert lines[0].startswith("n=3")
         assert len(lines) == 2 + 3
 
-    def test_mismatch_is_a_hard_failure(self):
+    def test_mismatch_is_a_hard_failure(self, monkeypatch):
         report = CountReport(
             n=2,
             rows=(CountRow(r=1, enumerated=1, os_count=2, narayana=1, ok=False),),
@@ -122,12 +122,15 @@ class TestVerifyCounts:
             catalan=2,
         )
         assert not report.ok
-        # the real verifier raises as soon as any route disagrees
-        with pytest.raises(MismatchError) as err:
-            _raise_like_verify(report)
-        assert err.value.where == [(2, 1)]
-
-
-def _raise_like_verify(report):
-    bad = [(report.n, row.r) for row in report.rows if not row.ok]
-    raise MismatchError("count mismatch", where=bad)
+        # the real verifier raises as soon as any route disagrees: here the
+        # recurrence route is one too high at r alone
+        for r in (1, 3, 5):
+            monkeypatch.setattr(
+                counting,
+                "narayana_row_via_recurrence",
+                lambda n: {k: c + (k == r) for k, c in narayana_row_via_recurrence(n).items()},
+            )
+            with pytest.raises(MismatchError) as err:
+                verify_counts(5)
+            assert err.value.where == [(5, r)]
+            assert str(err.value).startswith(f"count mismatch at (n, r) in [(5, {r})]:\n")
