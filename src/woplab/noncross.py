@@ -19,13 +19,14 @@ a fixed 16-row local table.  The table is equivalent to toggling each
 interior gap between "" and ")(" while fixing lone brackets, which this
 module also implements as an independent cross-check.
 
-Sequences are equal and hashed by their gap tuples.  Validation happens where
-gaps come from outside or from a rewrite under test: the public constructor,
-:func:`parse_seq`, :func:`encode`, the rank shifts and both dual
-formulations check every sequence they build.  :func:`enumerate_sequences`
-builds only sequences its pruned walk has kept valid and skips the check.
-Text is scanned by the cycle-notation scanner of :mod:`woplab.perm`, and the
-JSON text of a sequence is ``json.dumps`` of its dict.
+Sequences are equal and hashed by (n, gaps), as by gaps alone.  Validation
+happens where gaps come from outside or from a rewrite under test: the
+public constructor, :func:`parse_seq`, :func:`encode`, the rank shifts and
+both dual formulations check every sequence they build.
+:func:`enumerate_sequences` builds only sequences its pruned walk has kept
+valid and skips the check.  Text is scanned by the cycle-notation scanner
+of :mod:`woplab.perm`, and the JSON text of a sequence is ``json.dumps`` of
+its dict.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class BracketPair(NamedTuple):
         return self.left_gap < other.left_gap and other.right_gap < self.right_gap
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BracketSequence:
     """A valid bracket insertion into the word n n-1 ... 1 (see module docs)."""
 
@@ -122,14 +123,6 @@ class BracketSequence:
         _set(seq, "n", n)
         _set(seq, "gaps", gaps)
         return seq
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.gaps == other.gaps
-
-    def __hash__(self) -> int:
-        return hash(self.gaps)
 
     @property
     def r(self) -> int:

@@ -40,6 +40,7 @@ calls nothing of the template engine, so the check stays independent.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -84,6 +85,11 @@ class XPolynomial(SparsePolynomial):
     def _space(self) -> tuple[int]:
         return (self.N,)
 
+    def _like(self, terms: dict[XMonomial, Fraction]) -> "XPolynomial":
+        poly = super()._like(terms)
+        poly.N = self.N
+        return poly
+
     def _key(self, mono) -> XMonomial:
         key = super()._key(mono)
         for a, b in key:
@@ -122,11 +128,11 @@ def x_power_entry(N: int, k: int, a: int, b: int) -> XPolynomial:
         raise ValueError("power must be nonnegative")
     if k == 0:
         return XPolynomial.constant(N, 1 if a == b else 0)
-    terms: dict[XMonomial, Fraction] = {}
+    terms: dict[XMonomial, int] = {}
     for middle in itertools.product(range(1, N + 1), repeat=k - 1):
         walk = (a,) + middle + (b,)
         mono = tuple(sorted(zip(walk, walk[1:])))
-        terms[mono] = terms.get(mono, Fraction(0)) + 1
+        terms[mono] = terms.get(mono, 0) + 1
     return XPolynomial(N, terms)
 
 
@@ -134,22 +140,20 @@ def trace_power(N: int, k: int) -> XPolynomial:
     """tr(X^k) as an entry polynomial: the sum over closed k-walks."""
     if k < 1:
         raise ValueError("trace power must be positive")
-    terms: dict[XMonomial, Fraction] = {}
+    terms: dict[XMonomial, int] = {}
     for walk in itertools.product(range(1, N + 1), repeat=k):
         closed = walk + (walk[0],)
         mono = tuple(sorted(zip(closed, closed[1:])))
-        terms[mono] = terms.get(mono, Fraction(0)) + 1
+        terms[mono] = terms.get(mono, 0) + 1
     return XPolynomial(N, terms)
 
 
 def p_to_x(F: PPolynomial, N: int) -> XPolynomial:
-    """Substitute p_k -> tr(X^k) and expand."""
+    """Substitute p_k -> tr(X^k) and expand, building each tr(X^k) once."""
+    traces = {k: trace_power(N, k) for k in set(itertools.chain(*F._monos))}
     out = XPolynomial.zero(N)
-    for mono, coeff in F.items():
-        term = XPolynomial.constant(N, coeff)
-        for k in mono:
-            term = term * trace_power(N, k)
-        out = out + term
+    for mono, coeff in zip(F._monos, F._coeffs):
+        out = out + math.prod(map(traces.get, mono), start=XPolynomial.constant(N, coeff))
     return out
 
 
@@ -218,7 +222,7 @@ def normal_ordered_apply(
     for mono, coeff in G.items():
         counts, by_row = _indexed(mono)
         _apply_pairs(list(pairs), counts, by_row, coeff, out)
-    return XPolynomial(N, out)
+    return G._like(out)
 
 
 def cyclic_pairs(avec: Sequence[int]) -> list[tuple[int, int]]:
@@ -243,7 +247,8 @@ def tr_Dn_apply(
             "for the trace powers to stay independent"
         )
     out: dict[XMonomial, Fraction] = {}
-    for mono, coeff in p_to_x(F, N).items():
+    G = p_to_x(F, N)
+    for mono, coeff in zip(G._monos, G._coeffs):
         # integer multiplicities per key, then one product by the coefficient
         counts, by_row = _indexed(mono)
         mults: dict[XMonomial, int] = {}
@@ -251,7 +256,7 @@ def tr_Dn_apply(
             _apply_pairs(cyclic_pairs(avec), counts, by_row, 1, mults)
         for key, mult in mults.items():
             out[key] = out.get(key, 0) + coeff * mult
-    return XPolynomial(N, out)
+    return G._like(out)
 
 
 def _row_vectors(mono: XMonomial, n: int) -> list[tuple[int, ...]]:

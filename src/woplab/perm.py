@@ -18,9 +18,9 @@ Validation happens where images come from outside: the public constructor,
 :meth:`Permutation.from_images`, :meth:`Permutation.from_cycles` and
 :meth:`Permutation.parse` check for a bijection on 1..n.  :func:`lift`,
 :func:`project` and :func:`all_permutations` build bijections by
-construction and skip that check.  Cycle notation is scanned by
-:func:`_tokens`, which also scans bracket-sequence text for
-:func:`woplab.noncross.parse_seq`.
+construction and skip that check; :func:`project` reads :func:`lift`
+backwards.  Cycle notation is scanned by :func:`_tokens`, which also scans
+bracket-sequence text for :func:`woplab.noncross.parse_seq`.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ class Permutation:
         _set(perm, "images", images)
         return perm
 
+    # hand-written: the generated __hash__ builds a 1-tuple on every call
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -98,10 +99,6 @@ class Permutation:
         if not 1 <= i <= self.n:
             raise ValueError(f"{i} is outside 1..{self.n}")
         return self.images[i - 1]
-
-    def preimage(self, j: int) -> int:
-        """The unique i with self(i) == j."""
-        return self.images.index(j) + 1
 
     @property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -317,22 +314,17 @@ def project(beta: Permutation) -> tuple[Permutation, int]:
     In the hat quiver of ``beta`` take the arrow a out of the top vertex n+2
     and the arrow b into n+1.  If they coincide, delete them (j = 0);
     otherwise splice source(b) -> target(a) (j = target(a) = beta(1)).
-    Returns (alpha, j), the unique pair with ``lift(alpha, j) == beta``.
+    Returns (alpha, j), the unique pair with ``lift(alpha, j) == beta``,
+    read off the images as :func:`lift` wrote them, backwards.
     """
     m = beta.n
     if m < 2:
         raise ValueError("projection needs rank at least 2")
-    n = m - 1
-    b = beta.images
-    if b[0] == m:
-        j = 0
-        images = [b[m - 1]] + [b[v - 1] for v in range(2, n + 1)]
-    else:
-        j = b[0]
-        i = beta.preimage(m)  # i >= 2 since beta(1) != m
-        hat = {v: (j if v == i else b[v - 1]) for v in range(2, m + 1)}
-        images = [hat[m]] + [hat[v] for v in range(2, n + 1)]
-    return Permutation._unchecked(tuple(images)), j
+    b = list(beta.images)
+    j = 0 if b[0] == m else b[0]
+    if j:
+        b[b.index(m)] = j  # splice: the arrow into m now goes to j
+    return Permutation._unchecked((b[m - 1], *b[1 : m - 1])), j
 
 
 def lift(alpha: Permutation, j: int) -> Permutation:

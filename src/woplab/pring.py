@@ -16,13 +16,16 @@ each m_b is split into sums over the cells B_b & C_c (derivative block times
 cycle block), a cell of size z with sum x holding C(x-1, z-1) k-vectors, and
 the cell sums of each cycle block give the index of its p-factor.  No
 truncation is needed, since every choice is a factor of F.
+
+Polynomials from outside are checked by ``SparsePolynomial.__init__``; every
+computed result is canonical already and made by one constructor, ``_like``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from typing import Iterator, Mapping, Union
 
 from .errors import ParseError, admit
@@ -53,6 +56,8 @@ class SparsePolynomial:
     monomial is checked (``_key``), the order of ``items`` (``_item_order``)
     and the leading constructor arguments that fix their ring (``_space``);
     polynomials of different rings are unequal and cannot be combined.
+    ``__init__`` checks terms from outside; every result computed here is
+    canonical already and is made by the one unchecked constructor, ``_like``.
     """
 
     __slots__ = ("_monos", "_coeffs")
@@ -67,16 +72,24 @@ class SparsePolynomial:
             if coeff:
                 key = self._key(mono)
                 clean[key] = clean.get(key, Fraction(0)) + coeff
-        self._monos = tuple(m for m, c in clean.items() if c)
-        self._coeffs = tuple(c for c in clean.values() if c)
+        self._hold(clean)
+
+    def _hold(self, terms: dict[tuple, Fraction]) -> None:
+        # both tuples from the dict: tuples from generators over-allocate
+        if not all(terms.values()):
+            terms = {m: c for m, c in terms.items() if c}
+        self._monos = tuple(terms)
+        self._coeffs = tuple(terms.values())
 
     def _key(self, mono) -> tuple:
         """The canonical form of a monomial; raises ValueError if invalid."""
         return tuple(sorted(mono))
 
-    def _like(self, terms: Mapping[tuple, Scalar]):
-        """A polynomial of the same ring with these terms."""
-        return type(self)(*self._space, terms)
+    def _like(self, terms: dict[tuple, Fraction]):
+        """The same ring's polynomial of canonical terms; drops zeros only."""
+        poly = object.__new__(type(self))
+        poly._hold(terms)
+        return poly
 
     def _same_ring(self, other: "SparsePolynomial") -> None:
         if other._space != self._space:  # only entry polynomials have one
@@ -143,10 +156,7 @@ class SparsePolynomial:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power")
-        out = self._like({(): 1})
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return prod(itertools.repeat(self, exponent), start=self._like({(): Fraction(1)}))
 
 
 class PPolynomial(SparsePolynomial):
@@ -168,15 +178,6 @@ class PPolynomial(SparsePolynomial):
     _item_order = staticmethod(lambda item: (sum(item[0]), item[0]))  # graded-lex
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _canonical(cls, terms: dict[Monomial, Fraction]) -> "PPolynomial":
-        """Wrap terms already in canonical form: sorted keys, nonzero
-        Fraction coefficients.  Skips the re-normalisation of __init__."""
-        poly = cls.__new__(cls)
-        poly._monos = tuple(terms)
-        poly._coeffs = tuple(terms.values())
-        return poly
 
     @classmethod
     def zero(cls) -> "PPolynomial":
@@ -207,7 +208,7 @@ class PPolynomial(SparsePolynomial):
         parts: dict[int, dict[Monomial, Fraction]] = {}
         for mono, coeff in self._terms.items():
             parts.setdefault(sum(mono), {})[mono] = coeff
-        return {w: PPolynomial(t) for w, t in sorted(parts.items())}
+        return {w: self._like(t) for w, t in sorted(parts.items())}
 
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self._monos}) <= 1
@@ -227,7 +228,7 @@ class PPolynomial(SparsePolynomial):
                 reduced.remove(k)
                 key = tuple(reduced)
                 terms[key] = terms.get(key, Fraction(0)) + coeff * mult
-        return PPolynomial(terms)
+        return self._like(terms)
 
 
 def partitions(w: int) -> Iterator[Monomial]:
@@ -272,11 +273,16 @@ def parse_p(text: str) -> PPolynomial:
     term := [rational "*"] factor ("*" factor)* | rational
     factor := "p" int ["^" int]; rational := int | int "/" int.
     Terms are joined by "+" or "-"; whitespace is insignificant.
+    A term holds at most 10,000 factors, exponents counted, and an exponent
+    past that is refused before it is built: ``p1^999999999999`` would
+    exhaust memory, while ``apply 3 "p1^10000"`` still takes well under 1 s.
     """
     return _Parser(text).parse()
 
 
 class _Parser:
+    max_term_factors = 10_000  # see parse_p
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -311,7 +317,7 @@ class _Parser:
             return Fraction(num, den)
         return Fraction(num)
 
-    def take_factor(self) -> Monomial:
+    def take_factor(self, held: int) -> Monomial:
         if self.peek() != "p":
             self.error("expected a factor like p3 or p3^2")
         self.pos += 1
@@ -319,11 +325,14 @@ class _Parser:
         if index < 1:
             self.error("p-index must be positive")
         self.skip_ws()
-        exponent = 1
+        exponent, at = 1, self.pos
         if self.peek() == "^":
             self.pos += 1
             self.skip_ws()
+            at = self.pos
             exponent = self.take_int()
+        if held + exponent > self.max_term_factors:
+            raise ParseError(f"more than {self.max_term_factors} factors in one term", position=at)
         return (index,) * exponent
 
     def take_term(self) -> tuple[Monomial, Fraction]:
@@ -339,7 +348,7 @@ class _Parser:
                 return mono, coeff  # bare constant
         while True:
             self.skip_ws()
-            mono += self.take_factor()
+            mono += self.take_factor(len(mono))
             self.skip_ws()
             if self.peek() == "*":
                 self.pos += 1
@@ -355,8 +364,7 @@ class _Parser:
             self.pos += 1
         while True:
             mono, coeff = self.take_term()
-            key = tuple(sorted(mono))
-            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+            terms[mono] = terms.get(mono, 0) + sign * coeff  # __init__ sorts and merges
             self.skip_ws()
             if self.pos == len(self.text):
                 return PPolynomial(terms)
@@ -475,9 +483,7 @@ def apply_template(t: SummationTemplate, F: PPolynomial) -> PPolynomial:
             for indices, count in expansion:
                 key = tuple(sorted(indices + rest))
                 out[key] = out.get(key, 0) + scale * weight * count
-    return PPolynomial._canonical(
-        {m: Fraction(c, denominator) for m, c in out.items() if c}
-    )
+    return F._like({m: Fraction(c, denominator) for m, c in out.items() if c})
 
 
 def _admitted(descending: list[Monomial], sizes: tuple[int, ...]) -> bool:
@@ -532,6 +538,4 @@ def apply_W(n: int, F: PPolynomial, *, max_n: int = DEFAULT_MAX_DECOMPOSE) -> PP
         part = apply_template(t, F)
         for mono, coeff in zip(part._monos, part._coeffs):
             total[mono] = total.get(mono, 0) + coeff.numerator * (denominator // coeff.denominator)
-    return PPolynomial._canonical(
-        {m: Fraction(c, n * denominator) for m, c in total.items() if c}
-    )
+    return F._like({m: Fraction(c, n * denominator) for m, c in total.items() if c})

@@ -298,24 +298,14 @@ def _index_sum(k: str, block: tuple[int, ...]) -> str:
 
 
 def to_json_dict(t: SummationTemplate) -> dict:
-    os_type = is_OS(t)
-    return {
-        "n": t.n,
-        "perm": [list(c) for c in t.perm.cycles],
-        "cycle_blocks": [list(b) for b in t.cycle_blocks],
-        "derivative_blocks": [list(b) for b in t.derivative_blocks],
-        "dP": t.dP,
-        "dD": t.dD,
-        "degree": t.degree,
-        "os_type": list(os_type) if os_type else None,
-        "latex": render(t, "latex"),
-    }
+    """The template's JSON object, read back from :func:`to_json`."""
+    return json.loads(to_json(t))
 
 
 def to_json(t: SummationTemplate) -> str:
-    """The text of ``json.dumps(to_json_dict(t))``, written straight from the
-    template's fields without building the dict: a list of lists of ints
-    has the same repr as its JSON text."""
+    """The template as one JSON object, in ``json.dumps``'s default layout,
+    written straight from its fields: a list of lists of ints has the same
+    repr as its JSON text.  This is the only writer of template JSON."""
     os_type = is_OS(t)
     return (
         '{"n": %d, "perm": %r, "cycle_blocks": %r, "derivative_blocks": %r, '

@@ -581,6 +581,9 @@ ERROR_CORPUS = [
     (["seq", "decode", "(01)"], "integers may not have leading zeros"),
     (["seq", "decode", "(2)(1)x"], "unexpected character 'x' (at position 6)"),
     (["seq", "dual", "(3(21)"], "unbalanced brackets: unclosed '('"),
+    # recorded once parse_p bounded a term's factors; before, these ran out of memory
+    (["apply", "3", "p1^999999999999"], "more than 10000 factors in one term (at position 3)"),
+    (["apply", "3", "p1^6000*p2^5000"], "more than 10000 factors in one term (at position 11)"),
 ]
 
 

@@ -70,6 +70,15 @@ class TestParsePrint:
                 P(text)
             assert err.value.position == pos
 
+    def test_term_factor_bound_is_checked_before_building(self):
+        # 10,000 factors per term, counted across the term's exponents
+        assert P("p1^10000") == P("p1^5000*p1^5000") == PPolynomial.monomial((1,) * 10000)
+        assert len(P("p1^10000+p2^10000")) == 2
+        for text, pos in [("p1^999999999999", 3), ("p1^10001", 3), ("p2^5000 * p1^ 5001", 14)]:
+            with pytest.raises(ParseError, match="more than 10000 factors in one term") as err:
+                P(text)
+            assert err.value.position == pos
+
     def test_leading_minus_and_constants(self):
         assert P("-p1+p2") == P("p2") - P("p1")
         assert P("5") == PPolynomial.constant(5)

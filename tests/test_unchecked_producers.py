@@ -2,11 +2,17 @@
 checking constructors, against those constructors: every value they build
 passes its class's public constructor and equals what it builds there."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from test_pring import ring_operands
 from woplab import summation
 from woplab.noncross import BracketSequence, enumerate_sequences, parse_seq
+from woplab.oracle import XPolynomial, normal_ordered_apply
 from woplab.perm import Permutation, all_permutations, lift, project
+from woplab.pring import PPolynomial, apply_W
 from woplab.summation import SummationTemplate, decompose_W, summation_of
 
 
@@ -26,6 +32,18 @@ def checked_sequence(s):
 def checked_permutation(p):
     rebuilt = Permutation(p.images)
     assert fields(p) == fields(rebuilt)
+    return rebuilt
+
+
+def checked_polynomial(R, ring):
+    """R is in the form the checking constructor gives: rebuilding it from
+    its own terms changes neither tuple nor any other slot, its coefficients
+    are Fractions, and it equals the rebuild from its sorted items."""
+    rebuilt = ring(dict(zip(R._monos, R._coeffs)))
+    assert (R._monos, R._coeffs) == (rebuilt._monos, rebuilt._coeffs)
+    assert fields(R) == fields(rebuilt) and all(type(c) is Fraction for c in R._coeffs)
+    from_items = ring(dict(R.items()))
+    assert R == from_items and sorted(R.items()) == sorted(zip(from_items._monos, from_items._coeffs))
     return rebuilt
 
 
@@ -96,3 +114,25 @@ def test_fields_reads_every_slot_and_fails_on_an_unset_one():
         "cycle_blocks": t.cycle_blocks,
         "derivative_blocks": t.derivative_blocks,
     }
+
+
+@settings(deadline=None, max_examples=50)  # most of the time is drawing operands
+@given(ring_operands(), st.fractions(max_denominator=3), st.integers(0, 3), st.integers(1, 4))
+@example((PPolynomial, {(2, 1): Fraction(1, 2)}, {}), Fraction(0), 0, 1)  # the power's seed
+def test_every_ring_result_is_in_constructor_form(operands, scalar, exponent, k):
+    ring, a, b = operands
+    A, B = ring(a), ring(b)
+    results = [A + B, -A, A - B, A * B, A * scalar, scalar * A, A**exponent]
+    if isinstance(A, PPolynomial):
+        results += [A.diff(k), apply_W(2, A)]
+    else:
+        results.append(normal_ordered_apply([(1, 1)], A))
+    for R in results:
+        assert type(R) is type(A)
+        checked_polynomial(R, ring)
+        if isinstance(R, XPolynomial):
+            assert R.N == A.N
+            other = XPolynomial.constant(A.N + 1, 1)
+            for combine in (R.__add__, R.__sub__, R.__mul__):
+                with pytest.raises(ValueError, match="mismatched matrix sizes"):
+                    combine(other)
