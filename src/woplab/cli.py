@@ -100,6 +100,8 @@ def cmd_apply(args) -> int:
 
 def cmd_seq(args) -> int:
     action = args.action
+    if action != "enumerate" and args.r_value is not None:
+        raise ParseError(f"seq {action} takes one value, got a second: {args.r_value!r}")
     if action == "decode":
         result = noncross.decode(noncross.parse_seq(args.value))
         print(json.dumps({"perm": str(result)}) if args.format == "json" else result)

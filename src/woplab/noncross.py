@@ -20,13 +20,15 @@ interior gap between "" and ")(" while fixing lone brackets, which this
 module also implements as an independent cross-check.
 
 Sequences are equal and hashed by (n, gaps), as by gaps alone.  Validation
-happens where gaps come from outside or from a rewrite under test: the
-public constructor, :func:`parse_seq`, :func:`encode`, the rank shifts and
-both dual formulations check every sequence they build.
-:func:`enumerate_sequences` builds only sequences its pruned walk has kept
-valid and skips the check.  Text is scanned by the cycle-notation scanner
-of :mod:`woplab.perm`, and the JSON text of a sequence is ``json.dumps`` of
-its dict.
+happens where gaps come from outside: the public constructor,
+:func:`parse_seq`, :func:`encode` and the rank shifts check every sequence
+they build.  :func:`enumerate_sequences` builds only sequences its pruned
+walk has kept valid, and both dual formulations build only duals of valid
+sequences, so they skip the check.  That a dual is valid is part of what
+``woplab verify dual`` claims: each dual must be one of the enumerated
+sequences.  Text is scanned by the cycle-notation scanner of
+:mod:`woplab.perm`, and the JSON text of a sequence is ``json.dumps`` of its
+dict.
 """
 
 from __future__ import annotations
@@ -452,7 +454,7 @@ def dual(seq: BracketSequence) -> BracketSequence:
     gaps = seq.gaps
     uppers, lowers = zip(*map(_DUAL_GAPS.__getitem__, zip(gaps, gaps[1:])))
     assert uppers[1:] == lowers[:-1], "inconsistent local rewrites"
-    return BracketSequence(seq.n, uppers[:1] + lowers)
+    return BracketSequence._unchecked(seq.n, uppers[:1] + lowers)
 
 
 # the gap toggle: interior "" and ")(" swap, lone brackets stay
@@ -463,7 +465,7 @@ def dual_via_gap_toggle(seq: BracketSequence) -> BracketSequence:
     """Independent formulation of the dual: toggle each interior gap between
     "" and ")(" and leave lone brackets (and the boundary gaps) unchanged."""
     gaps = seq.gaps
-    return BracketSequence(
+    return BracketSequence._unchecked(
         seq.n, (gaps[0], *map(_TOGGLE.__getitem__, gaps[1:-1]), gaps[-1])
     )
 

@@ -32,6 +32,12 @@ constructor checks that its cycle blocks are the permutation's cycle
 partition and that its derivative blocks partition 1..n.
 :func:`summation_of` and :func:`decompose_W` derive both partitions from
 the permutation itself and skip those checks.
+
+The text forms, :func:`render` and :func:`to_json`, are joined from texts
+kept per block of indices: per format, the block's coefficient text and
+index sum, and its JSON text.  Up to rank n that is at most 2^n - 1 blocks
+per format, where texts kept per template or per block tuple would number
+in the thousands.
 """
 
 from __future__ import annotations
@@ -92,6 +98,11 @@ class SummationTemplate:
         covered = sorted(v for b in self.derivative_blocks for v in b)
         if covered != list(range(1, n + 1)):
             raise ValueError(f"derivative_blocks must partition 1..{n}")
+        # True and 1.0 equal 1, so only the type keeps them out of the texts
+        # kept per block
+        blocks = (*self.derivative_blocks, *self.cycle_blocks)
+        if any(type(v) is not int for b in blocks for v in b):
+            raise ValueError("blocks must hold ints")
 
     @classmethod
     def _unchecked(
@@ -149,12 +160,17 @@ def is_OS(t: SummationTemplate) -> Optional[tuple[int, int]]:
 def has_descending_cycles(perm: Permutation) -> bool:
     """Every cycle of length >= 2, followed along arrows, descends through its
     support, with the single ascent being the wrap from minimum to maximum.
-    The wrap needs no check: once every descending step is an arrow, the
-    maximum is the only vertex of the cycle left without a preimage.  Fixed
-    points hold vacuously."""
-    for cycle in perm.cycles:
-        descending = sorted(cycle, reverse=True)
-        if any(perm(a) != b for a, b in zip(descending, descending[1:])):
+    Fixed points hold vacuously."""
+    return _descending(perm.cycles)
+
+
+def _descending(cycles: Blocks) -> bool:
+    # a canonical cycle starts at its minimum and follows the arrows, so it
+    # descends exactly when the entries after the minimum decrease; the wrap
+    # back to the minimum is then the single ascent
+    for cycle in cycles:
+        rest = list(cycle[1:])
+        if rest != sorted(rest, reverse=True):
             return False
     return True
 
@@ -162,12 +178,14 @@ def has_descending_cycles(perm: Permutation) -> bool:
 def has_nested_or_ordered_supports(perm: Permutation) -> bool:
     """Any two cycle supports are interval-disjoint or one avoids the other's
     span entirely (nesting); interleaved supports fail."""
-    supports = perm.cycle_supports
-    for i in range(len(supports)):
-        for j in range(i + 1, len(supports)):
-            a, b = supports[i], supports[j]
-            lo_a, hi_a = min(a), max(a)
-            lo_b, hi_b = min(b), max(b)
+    return _nested_or_ordered(perm.cycles)
+
+
+def _nested_or_ordered(cycles: Blocks) -> bool:
+    spans = [(min(c), max(c)) for c in cycles]
+    for i, a in enumerate(cycles):
+        lo_a, hi_a = spans[i]
+        for b, (lo_b, hi_b) in zip(cycles[i + 1 :], spans[i + 1 :]):
             a_avoids_b = all(v < lo_b or v > hi_b for v in a)
             b_avoids_a = all(v < lo_a or v > hi_a for v in b)
             if not (a_avoids_b or b_avoids_a):
@@ -177,8 +195,10 @@ def has_nested_or_ordered_supports(perm: Permutation) -> bool:
 
 def satisfies_star(perm: Permutation) -> bool:
     """Both structural conditions that characterise the maximal-degree
-    summations (checked directly, never via the degree)."""
-    return has_descending_cycles(perm) and has_nested_or_ordered_supports(perm)
+    summations (checked directly, never via the degree), on one reading of
+    the permutation's cycles."""
+    cycles = perm.cycles
+    return _descending(cycles) and _nested_or_ordered(cycles)
 
 
 # The largest n whose templates decompose_W keeps for the life of the
@@ -254,47 +274,84 @@ def _build_templates(n: int) -> list[SummationTemplate]:
     return templates
 
 
-# per format: index letter, separator of p-factors and of derivatives, one
-# derivative, and the frame that puts the parts together
+class _Kept(dict):
+    """A table that makes each missing entry once, as ``make(key)``, and
+    keeps it for the life of the process."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _kept_texts(k: str) -> tuple[_Kept, _Kept]:
+    """For the index letter k: the index list per rank n, and per block its
+    coefficient text and index sum, such as ("(k1+k3)", "k1+k3") for (1, 3).
+    At most 2^n - 1 blocks are kept up to rank n."""
+
+    def block_texts(block: tuple[int, ...]) -> tuple[str, str]:
+        s = "+".join(f"{k}{v}" for v in block)
+        return (s if len(block) == 1 else f"({s})", s)
+
+    return _Kept(lambda n: ",".join(f"{k}{v}" for v in range(1, n + 1))), _Kept(block_texts)
+
+
+# per format: its kept texts, the text between two p-factors' index sums and
+# between two derivatives' index sums, and the frame
 _RENDER_TOKENS = {
-    "plain": ("k", " ", "d/dp_{{{}}}", "sum_{{{indices}}} {coeffs} {polys} {derivs}"),
+    "plain": (
+        *_kept_texts("k"),
+        "} p_{",
+        "} d/dp_{",
+        "sum_{{{indices}}} {coeffs} p_{{{polys}}} d/dp_{{{derivs}}}",
+    ),
     "latex": (
-        "k_",
-        "",
-        "\\partial p_{{{}}}",
-        "\\sum_{{{indices}\\geq 1}} {coeffs} {polys}\\frac{{\\partial{order}}}{{{derivs}}}",
+        *_kept_texts("k_"),
+        "}p_{",
+        "}\\partial p_{",
+        "\\sum_{{{indices}\\geq 1}} {coeffs} p_{{{polys}}}"
+        "\\frac{{\\partial{order}}}{{\\partial p_{{{derivs}}}}}",
     ),
 }
 
 
 def render(t: SummationTemplate, fmt: str = "plain") -> str:
-    """Render a template as ``plain`` text, ``latex``, or a ``json`` object."""
+    """Render a template as ``plain`` text, ``latex``, or a ``json`` object.
+
+    The text is joined from kept pieces: the index list per (format, n),
+    and each block's coefficient text and index sum per (format, block)."""
     if fmt == "json":
         return to_json(t)
     if fmt not in _RENDER_TOKENS:
         raise ValueError(f"unknown format {fmt!r} (expected plain, latex, or json)")
-    k, sep, derivative, frame = _RENDER_TOKENS[fmt]
-    blocks = t.derivative_blocks
-    sums = [_index_sum(k, b) for b in blocks]
+    return _joined(t, *_RENDER_TOKENS[fmt])
+
+
+def _joined(t: SummationTemplate, indices, texts, p_sep, d_sep, frame) -> str:
+    """The text of t from one format's tokens (see ``_RENDER_TOKENS``)."""
+    blocks = [texts[b] for b in t.derivative_blocks]
     return frame.format(
-        indices=",".join(f"{k}{v}" for v in range(1, t.n + 1)),
-        coeffs=" ".join(s if len(b) == 1 else f"({s})" for b, s in zip(blocks, sums)),
-        polys=sep.join(f"p_{{{_index_sum(k, c)}}}" for c in t.cycle_blocks),
-        derivs=sep.join(derivative.format(s) for s in sums),
-        order="" if t.dD == 1 else f"^{{{t.dD}}}",
+        indices=indices[t.n],
+        coeffs=" ".join([coeff for coeff, _ in blocks]),
+        polys=p_sep.join([texts[c][1] for c in t.cycle_blocks]),
+        derivs=d_sep.join([s for _, s in blocks]),
+        order="" if len(blocks) == 1 else f"^{{{len(blocks)}}}",
     )
 
 
-# index-sum text per (index letter, block), such as "k1+k3" for ("k", (1, 3)):
-# one entry per distinct block rendered, at most 2^n - 1 per letter up to rank n
-_INDEX_SUMS: dict[tuple[str, tuple[int, ...]], str] = {}
+# the latex tokens that write the latex text as the inside of a JSON
+# string: kept texts hold no backslash or quote, so escaping these does
+_LATEX_JSON = tuple(
+    token.replace("\\", "\\\\") if isinstance(token, str) else token
+    for token in _RENDER_TOKENS["latex"]
+)
 
 
-def _index_sum(k: str, block: tuple[int, ...]) -> str:
-    text = _INDEX_SUMS.get((k, block))
-    if text is None:
-        text = _INDEX_SUMS[k, block] = "+".join(f"{k}{v}" for v in block)
-    return text
+# the JSON text of each block, such as "[1, 3]", kept like the render texts
+_BLOCK_JSON = _Kept(lambda block: "[%s]" % ", ".join(map(str, block)))
 
 
 def to_json_dict(t: SummationTemplate) -> dict:
@@ -305,19 +362,20 @@ def to_json_dict(t: SummationTemplate) -> dict:
 def to_json(t: SummationTemplate) -> str:
     """The template as one JSON object, in ``json.dumps``'s default layout,
     written straight from its fields: a list of lists of ints has the same
-    repr as its JSON text.  This is the only writer of template JSON."""
+    repr as its JSON text, and each block's text is kept.  This is the only
+    writer of template JSON."""
     os_type = is_OS(t)
     return (
-        '{"n": %d, "perm": %r, "cycle_blocks": %r, "derivative_blocks": %r, '
-        '"dP": %d, "dD": %d, "degree": %d, "os_type": %s, "latex": %s}'
+        '{"n": %d, "perm": %r, "cycle_blocks": [%s], "derivative_blocks": [%s], '
+        '"dP": %d, "dD": %d, "degree": %d, "os_type": %s, "latex": "%s"}'
     ) % (
         t.n,
         list(map(list, t.perm.cycles)),
-        list(map(list, t.cycle_blocks)),
-        list(map(list, t.derivative_blocks)),
+        ", ".join([_BLOCK_JSON[b] for b in t.cycle_blocks]),
+        ", ".join([_BLOCK_JSON[b] for b in t.derivative_blocks]),
         t.dP,
         t.dD,
         t.degree,
         "[%d, %d]" % os_type if os_type else "null",
-        json.dumps(render(t, "latex")),
+        _joined(t, *_LATEX_JSON),
     )

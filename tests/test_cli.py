@@ -296,7 +296,8 @@ class TestVerify:
         assert code == 0 and out.count("[PASS]") == 10 and "[FAIL]" not in out
 
     @pytest.mark.parametrize(
-        "mutant", ["not an involution", "no type swap", "toggle disagrees", "index misses"]
+        "mutant",
+        ["not an involution", "no type swap", "toggle disagrees", "index misses", "invalid dual"],
     )
     def test_dual_suite_catches_a_faulty_dual(self, capsys, monkeypatch, mutant):
         table, toggle = noncross.dual, noncross.dual_via_gap_toggle
@@ -318,6 +319,20 @@ class TestVerify:
             monkeypatch.setattr(
                 noncross, "dual_via_gap_toggle", lambda s: toggle(s if s != other else table(s))
             )
+        elif mutant == "invalid dual":
+            # the table writes ")(" wherever it wrote "(": the two rewrites of
+            # each gap still agree, and every dual opens with an invalid gap
+            monkeypatch.setattr(
+                noncross,
+                "_DUAL_GAPS",
+                {
+                    key: tuple(")(" if gap == "(" else gap for gap in rewrites)
+                    for key, rewrites in noncross._DUAL_GAPS.items()
+                },
+            )
+            built = noncross.dual(noncross.parse_seq("(4(3)2)(1)"))
+            with pytest.raises(ValueError, match="the gap before the first integer"):
+                noncross.BracketSequence(built.n, built.gaps)
         else:
             enumerate_sequences = noncross.enumerate_sequences
             monkeypatch.setattr(
@@ -581,6 +596,9 @@ ERROR_CORPUS = [
     (["seq", "decode", "(01)"], "integers may not have leading zeros"),
     (["seq", "decode", "(2)(1)x"], "unexpected character 'x' (at position 6)"),
     (["seq", "dual", "(3(21)"], "unbalanced brackets: unclosed '('"),
+    # recorded once seq refused a second value for any action but enumerate;
+    # before, the 7 was dropped and the dual printed with exit 0
+    (["seq", "dual", "(21)", "7"], "seq dual takes one value, got a second: '7'"),
     # recorded once parse_p bounded a term's factors; before, these ran out of memory
     (["apply", "3", "p1^999999999999"], "more than 10000 factors in one term (at position 3)"),
     (["apply", "3", "p1^6000*p2^5000"], "more than 10000 factors in one term (at position 11)"),

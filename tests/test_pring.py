@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,47 @@ class TestCutAndJoinAgreement:
     def test_w2_is_half_the_cut_and_join_operator(self, w):
         for F in all_monomials_of_weight(w):
             assert apply_W(2, F) == half_cut_and_join(F)
+
+
+MONOMIALS_UP_TO_6 = [F for w in range(1, 7) for F in all_monomials_of_weight(w)]
+
+
+def noncommuting_cases():
+    """Each (m, n, F) with 2 <= m < n <= 5 and F a monomial of weight <= 6
+    where W([m])W([n])F != W([n])W([m])F, found one at a time."""
+    for m, n in itertools.combinations(range(2, 6), 2):
+        for F in MONOMIALS_UP_TO_6:
+            if apply_W(m, apply_W(n, F)) != apply_W(n, apply_W(m, F)):
+                yield m, n, F
+
+
+class TestCommutation:
+    """The W-operators share the Schur functions as eigenbasis, so they
+    commute; W([1]) is the weight operator."""
+
+    def test_w_operators_commute_on_every_monomial_up_to_weight_6(self):
+        assert len(MONOMIALS_UP_TO_6) == 29  # 6 pairs (m, n), 174 cases
+        assert list(noncommuting_cases()) == []
+
+    def test_w1_multiplies_every_monomial_by_its_weight(self):
+        for F in MONOMIALS_UP_TO_6:
+            assert apply_W(1, F) == F.weight() * F
+
+    @pytest.mark.parametrize("dropped", range(6))
+    def test_dropping_a_template_of_w3_breaks_commutation(self, monkeypatch, dropped):
+        import woplab.pring as pring
+
+        kept = decompose_W(3)
+        assert len(kept) == 6
+        del kept[dropped]
+        monkeypatch.setattr(
+            pring,
+            "decompose_W",
+            lambda n, *, max_n=pring.DEFAULT_MAX_DECOMPOSE: (
+                list(kept) if n == 3 else decompose_W(n, max_n=max_n)
+            ),
+        )
+        assert next(noncommuting_cases(), None) is not None
 
 
 def reference_apply_template(t, F):

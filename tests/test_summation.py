@@ -223,7 +223,7 @@ class TestKeptTemplates:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # the index-sum texts render keeps are most of what may grow
+        # the per-block texts render and to_json keep are most of what may grow
         assert grown < 1e5
 
     @pytest.mark.parametrize("fmt", [[], ["--json"], ["--latex"]], ids=["plain", "json", "latex"])
@@ -293,6 +293,15 @@ class TestTemplateValidation:
             SummationTemplate(perm("(21)"), ((1,), (2,)), ((1, 2),))
         with pytest.raises(ValueError):
             SummationTemplate(perm("(21)"), ((1, 2),), ((1,),))
+
+    @pytest.mark.parametrize("one", [True, 1.0])
+    def test_blocks_equal_to_ints_are_refused(self, one):
+        from woplab.summation import SummationTemplate
+
+        p = perm("(1)")
+        for cycle_blocks, derivative_blocks in [(((one,),), ((1,),)), (((1,),), ((one,),))]:
+            with pytest.raises(ValueError, match="blocks must hold ints"):
+                SummationTemplate(p, cycle_blocks, derivative_blocks)
 
     def test_dP_is_cycle_count(self):
         for beta in all_permutations(5):

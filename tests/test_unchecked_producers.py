@@ -2,6 +2,7 @@
 checking constructors, against those constructors: every value they build
 passes its class's public constructor and equals what it builds there."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_pring import ring_operands
 from woplab import summation
-from woplab.noncross import BracketSequence, enumerate_sequences, parse_seq
+from woplab.noncross import (
+    BracketSequence,
+    dual,
+    dual_via_gap_toggle,
+    encode,
+    enumerate_sequences,
+    parse_seq,
+)
 from woplab.oracle import XPolynomial, normal_ordered_apply
 from woplab.perm import Permutation, all_permutations, lift, project
 from woplab.pring import PPolynomial, apply_W
@@ -59,6 +67,41 @@ def test_every_enumerated_sequence_passes_the_constructor(n):
         assert all(type(s) is BracketSequence and s.n == n for s in seqs)
         if r is not None:
             assert all(s.r == r for s in seqs)
+
+
+def checked_duals(s):
+    """Both duals of s pass the constructor, and they agree."""
+    table, toggle = checked_sequence(dual(s)), checked_sequence(dual_via_gap_toggle(s))
+    assert table == toggle and type(table) is BracketSequence and table.n == s.n
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_dual_passes_the_constructor(n):
+    seqs = enumerate_sequences(n)
+    duals = [checked_duals(s) for s in seqs]
+    assert sorted(d.gaps for d in duals) == sorted(s.gaps for s in seqs)
+
+
+def random_noncrossing(rng, values):
+    """A random non-crossing partition of the ascending values: a block
+    holding the first value, and one partition inside each of its gaps."""
+    if not values:
+        return []
+    cut = [0] + sorted(rng.sample(range(1, len(values)), rng.randint(0, len(values) - 1) // 2))
+    blocks = [[values[i] for i in cut]]
+    for lo, hi in zip(cut, cut[1:] + [len(values)]):
+        blocks += random_noncrossing(rng, values[lo + 1 : hi])
+    return blocks
+
+
+def test_duals_of_random_sequences_past_the_enumeration_pass_the_constructor():
+    rng = random.Random(2210)
+    for n in range(11, 41):
+        for _ in range(10):
+            blocks = random_noncrossing(rng, list(range(1, n + 1)))
+            s = encode(Permutation.from_cycles(sorted(b, reverse=True) for b in blocks))
+            assert s.r == len(blocks) and checked_duals(s).r == n - s.r + 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
